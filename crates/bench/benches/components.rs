@@ -10,8 +10,7 @@ use std::hint::black_box;
 use metasim_apps::registry::TestCase;
 use metasim_apps::tracing::{sample_addresses, trace_workload};
 use metasim_bench::{shared_fleet, shared_probes, shared_study};
-use metasim_core::convolver::Convolver;
-use metasim_core::metric::MetricId;
+use metasim_core::prediction::predict_all;
 use metasim_machines::MachineId;
 use metasim_memsim::bandwidth::{drive, measure_bandwidth, Workload};
 use metasim_memsim::cache::Cache;
@@ -24,6 +23,7 @@ use metasim_probes::maps::{sweep_sizes, DependencyFlavor, MapsCurve};
 use metasim_stats::rng::SeededRng;
 use metasim_tracer::analysis::analyze_dependencies;
 use metasim_tracer::stride::StrideDetector;
+use metasim_units::Seconds;
 
 fn bench_cache(c: &mut Criterion) {
     let fleet = shared_fleet();
@@ -157,12 +157,17 @@ fn bench_convolver(c: &mut Criterion) {
     let trace = trace_workload(&TestCase::Overflow2Standard.workload(48));
     let labels = analyze_dependencies(&trace.blocks);
 
+    let base = suite.measure(fleet.base());
+
     c.bench_function("convolve_all_nine_metrics", |b| {
-        let conv = Convolver::new(&probes);
         b.iter(|| {
-            for m in MetricId::ALL {
-                black_box(conv.cost(m, &trace, &labels));
-            }
+            black_box(predict_all(
+                &trace,
+                &labels,
+                &probes,
+                &base,
+                Seconds::new(1.0),
+            ))
         });
     });
 }

@@ -1,12 +1,21 @@
-//! A symbolic IR for the nine metric transfer functions.
+//! The nine metric transfer functions, as a symbolic IR and its one
+//! evaluator.
 //!
-//! Every metric the convolver implements is also written down here as an
-//! expression tree over *dimensioned* leaves: probe-measured rates
-//! (FLOP/s, bytes/s, updates/s), trace-derived operation counts (FLOPs,
-//! bytes), piecewise MAPS curve lookups, and time sums over basic blocks
-//! and MPI census entries. The tree supports two static analyses that run
-//! without measuring or convolving anything:
+//! Every metric is written down here as an expression tree over
+//! *dimensioned* leaves: probe-measured rates (FLOP/s, bytes/s,
+//! updates/s), trace-derived operation counts (FLOPs, bytes), piecewise
+//! MAPS curve lookups, and time sums over basic blocks and MPI census
+//! entries. The same trees are what predictions run, and what two static
+//! analyses read without measuring or convolving anything:
 //!
+//! * **Evaluation** (`eval`) — one walk over the tree, generic over a
+//!   value `Domain`: plain `f64` ([`eval_cost`], [`eval_prediction`]),
+//!   a two-lane `(target, base)` pair that
+//!   [`predict_all`](crate::prediction::predict_all) folds each metric's
+//!   cost tree through once, and the interval-plus-derivative value of
+//!   [`crate::sensitivity`]. Leaf reading, block and census sums, the
+//!   comm-op switch, and the dependency-label → MAPS-flavor mapping are
+//!   written once, here.
 //! * **Dimension checking** ([`Expr::dim`]) — folds the exponent vector of
 //!   every node and rejects sums, overlaps (`max`), or comm-op switches
 //!   whose arms disagree. `metasim lint` uses this to prove that each
@@ -18,17 +27,27 @@
 //!   metrics referencing unmeasured quantities and measurements no metric
 //!   reads.
 //!
-//! The IR is kept honest by evaluation: [`eval_cost`] interprets the tree
-//! with the same operation order the convolver uses, and a test pins the
-//! result **bit-for-bit** against [`Convolver::cost`](crate::convolver::Convolver::cost) for all nine metrics.
-//! If the convolver's math drifts from the formulas the lint reasons
-//! about, that test fails.
+//! Because the lint, the sensitivity analysis, and the predictions all
+//! read the same trees through the same walk, what `metasim lint` and
+//! `metasim sense` prove is about the code that predicts.
+//!
+//! "Operation counts, once determined by tracing, are divided by
+//! corresponding operation rates … to yield an execution time for the
+//! current basic block per operation type. Execution time is subsequently
+//! 'predicted' by summing the estimated execution time for all basic blocks
+//! and carefully taking into account the overlap of the different operation
+//! types" (§3). The overlap model: within a block, floating-point and
+//! memory work fully overlap (`max`). That is deliberately more optimistic
+//! than the ground truth's partial overlap — the convolver is a model, and
+//! the gap is one of its honest error sources.
 
+use std::cell::RefCell;
 use std::fmt;
+use std::sync::OnceLock;
 
 use metasim_probes::maps::DependencyFlavor;
 use metasim_probes::suite::MachineProbes;
-use metasim_tracer::block::DependencyClass;
+use metasim_tracer::block::{DependencyClass, TracedBlock};
 use metasim_tracer::counters::HardwareCounters;
 use metasim_tracer::trace::ApplicationTrace;
 use metasim_units::Seconds;
@@ -37,7 +56,7 @@ use metasim_netsim::replay::{CommEvent, CommOp};
 
 use crate::metric::MetricId;
 
-/// Bytes per memory reference (double precision) — mirrors the convolver.
+/// Bytes per memory reference (double precision).
 pub(crate) const REF_BYTES: f64 = 8.0;
 
 // ---------------------------------------------------------------------------
@@ -489,46 +508,50 @@ impl Expr {
     }
 
     fn collect_quantities(&self, out: &mut Vec<ProbeQuantity>) {
-        let push = |q: ProbeQuantity, out: &mut Vec<ProbeQuantity>| {
+        if let Some(q) = self.quantity() {
             if !out.contains(&q) {
                 out.push(q);
             }
-        };
-        match self {
-            Expr::Rate(r) => push(
-                match r {
-                    RateSource::HplRmax => ProbeQuantity::HplRmax,
-                    RateSource::StreamBandwidth => ProbeQuantity::StreamBandwidth,
-                    RateSource::GupsUpdateRate => ProbeQuantity::GupsUpdateRate,
-                    RateSource::GupsEffectiveBandwidth => ProbeQuantity::GupsEffectiveBandwidth,
-                    RateSource::NetBandwidth => ProbeQuantity::NetBandwidth,
-                },
-                out,
-            ),
-            Expr::Time(t) => match t {
-                TimeSource::NetLatency => push(ProbeQuantity::NetLatency, out),
-                TimeSource::NetAllreduce64 => push(ProbeQuantity::NetAllreduce64, out),
-                TimeSource::BaseRuntime => {}
-            },
-            Expr::Curve { .. } => push(ProbeQuantity::MapsCurves, out),
-            Expr::Const(_) | Expr::Count(_) | Expr::Scale(_) => {}
-            Expr::Recip(e) | Expr::OnBase(e) | Expr::CommSum(e) => e.collect_quantities(out),
-            Expr::BlockSum { body, .. } => body.collect_quantities(out),
-            Expr::Ratio(a, b) | Expr::Mul(a, b) | Expr::Max(a, b) => {
-                a.collect_quantities(out);
-                b.collect_quantities(out);
-            }
-            Expr::Sum(terms) => {
-                for t in terms {
-                    t.collect_quantities(out);
-                }
-            }
-            Expr::OpSwitch(arms) => {
-                for (_, e) in arms {
-                    e.collect_quantities(out);
-                }
-            }
         }
+        for child in self.children() {
+            child.collect_quantities(out);
+        }
+    }
+
+    /// The probe quantity a leaf reads; `None` for every other node.
+    fn quantity(&self) -> Option<ProbeQuantity> {
+        match self {
+            Expr::Rate(r) => Some(r.quantity()),
+            Expr::Time(t) => t.quantity(),
+            Expr::Curve { .. } => Some(ProbeQuantity::MapsCurves),
+            _ => None,
+        }
+    }
+
+    /// The node's direct subexpressions, in evaluation order.
+    fn children(&self) -> Vec<&Expr> {
+        match self {
+            Expr::Const(_)
+            | Expr::Count(_)
+            | Expr::Rate(_)
+            | Expr::Time(_)
+            | Expr::Scale(_)
+            | Expr::Curve { .. } => Vec::new(),
+            Expr::Recip(e)
+            | Expr::OnBase(e)
+            | Expr::CommSum(e)
+            | Expr::BlockSum { body: e, .. } => {
+                vec![e]
+            }
+            Expr::Ratio(a, b) | Expr::Mul(a, b) | Expr::Max(a, b) => vec![a, b],
+            Expr::Sum(terms) => terms.iter().collect(),
+            Expr::OpSwitch(arms) => arms.iter().map(|(_, e)| e).collect(),
+        }
+    }
+
+    /// Whether any node of the tree satisfies `pred`.
+    fn any(&self, pred: &impl Fn(&Expr) -> bool) -> bool {
+        pred(self) || self.children().into_iter().any(|c| c.any(pred))
     }
 
     /// Whether the formula contains a label-steered (ENHANCED MAPS)
@@ -536,16 +559,7 @@ impl Expr {
     /// branches.
     #[must_use]
     pub fn has_labeled_curves(&self) -> bool {
-        match self {
-            Expr::BlockSum { labeled, body } => *labeled || body.has_labeled_curves(),
-            Expr::Recip(e) | Expr::OnBase(e) | Expr::CommSum(e) => e.has_labeled_curves(),
-            Expr::Ratio(a, b) | Expr::Mul(a, b) | Expr::Max(a, b) => {
-                a.has_labeled_curves() || b.has_labeled_curves()
-            }
-            Expr::Sum(terms) => terms.iter().any(Expr::has_labeled_curves),
-            Expr::OpSwitch(arms) => arms.iter().any(|(_, e)| e.has_labeled_curves()),
-            _ => false,
-        }
+        self.any(&|e| matches!(e, Expr::BlockSum { labeled: true, .. }))
     }
 
     /// Whether the formula reads the base system's measured runtime
@@ -554,20 +568,7 @@ impl Expr {
     /// dataflow graph.
     #[must_use]
     pub fn uses_base_runtime(&self) -> bool {
-        match self {
-            Expr::Time(TimeSource::BaseRuntime) => true,
-            Expr::Const(_) | Expr::Count(_) | Expr::Rate(_) | Expr::Time(_) | Expr::Scale(_) => {
-                false
-            }
-            Expr::Curve { .. } => false,
-            Expr::Recip(e) | Expr::OnBase(e) | Expr::CommSum(e) => e.uses_base_runtime(),
-            Expr::BlockSum { body, .. } => body.uses_base_runtime(),
-            Expr::Ratio(a, b) | Expr::Mul(a, b) | Expr::Max(a, b) => {
-                a.uses_base_runtime() || b.uses_base_runtime()
-            }
-            Expr::Sum(terms) => terms.iter().any(Expr::uses_base_runtime),
-            Expr::OpSwitch(arms) => arms.iter().any(|(_, e)| e.uses_base_runtime()),
-        }
+        self.any(&|e| matches!(e, Expr::Time(TimeSource::BaseRuntime)))
     }
 }
 
@@ -607,7 +608,9 @@ fn maps_cost_expr(labeled: bool) -> Expr {
 }
 
 /// The MPI-census network term of metrics #8–#9: per-event counts times a
-/// per-operation modelled time, all from NETBENCH measurements.
+/// per-operation modelled time, all from NETBENCH's *measured* latency and
+/// bandwidth — coarser than the machine's true network behaviour, an
+/// honest modelling gap.
 fn network_cost_expr() -> Expr {
     let p2p = || {
         Expr::Sum(vec![
@@ -655,8 +658,15 @@ fn network_cost_expr() -> Expr {
     )))
 }
 
-/// The symbolic cost `C(metric, X)` — the exact transfer function
-/// [`Convolver::cost`](crate::convolver::Convolver::cost) computes numerically.
+/// The symbolic cost `C(metric, X)`: the transfer function a prediction
+/// divides by its value on the base system.
+///
+/// Simple metrics (#1–#3) are the reciprocal benchmark rate — a "cost"
+/// whose base-calibrated ratio is exactly Equation 1. Metric #5 works from
+/// counter totals, which carry no basic-block structure, so it cannot
+/// credit flop/memory overlap: the two times add, which is why #5 can be
+/// *worse* than STREAM alone (the paper's Table 4: 50% vs 43%). The traced
+/// metrics #6–#9 use the overlap-aware `max`.
 #[must_use]
 pub fn cost_expr(metric: MetricId) -> Expr {
     match metric {
@@ -699,8 +709,13 @@ pub fn cost_expr(metric: MetricId) -> Expr {
     }
 }
 
-/// The base-calibrated prediction formula (Equation 1 applied to the
-/// metric's cost):
+/// The nine cost trees, built once per process — the trees predictions walk.
+pub(crate) fn cost_tree(metric: MetricId) -> &'static Expr {
+    static TREES: OnceLock<[Expr; 9]> = OnceLock::new();
+    &TREES.get_or_init(|| MetricId::ALL.map(cost_expr))[metric.number() - 1]
+}
+
+/// Base-calibrate a cost (Equation 1 applied to it):
 ///
 /// ```text
 /// T′(metric, X) = C(metric, X) / C(metric, X₀) · T(X₀)
@@ -710,34 +725,239 @@ pub fn cost_expr(metric: MetricId) -> Expr {
 /// base-runtime factor restores seconds — which is exactly what
 /// `metasim lint` verifies, and what the `eq1-multiply` mutation breaks.
 #[must_use]
-pub fn prediction_expr(metric: MetricId) -> Expr {
-    let cost = cost_expr(metric);
+pub fn calibrated(cost: Expr) -> Expr {
     Expr::mul(
         Expr::ratio(cost.clone(), Expr::OnBase(Box::new(cost))),
         Expr::Time(TimeSource::BaseRuntime),
     )
 }
 
+/// The base-calibrated prediction formula of `metric`.
+#[must_use]
+pub fn prediction_expr(metric: MetricId) -> Expr {
+    calibrated(cost_expr(metric))
+}
+
 // ---------------------------------------------------------------------------
 // Evaluation
 // ---------------------------------------------------------------------------
 
-/// Evaluation context: the artifacts a formula's leaves read.
-#[derive(Clone, Copy)]
-struct Ctx<'a> {
-    probes: &'a MachineProbes,
-    base_probes: Option<&'a MachineProbes>,
-    trace: &'a ApplicationTrace,
+impl RateSource {
+    /// The probe quantity this rate is.
+    fn quantity(self) -> ProbeQuantity {
+        match self {
+            RateSource::HplRmax => ProbeQuantity::HplRmax,
+            RateSource::StreamBandwidth => ProbeQuantity::StreamBandwidth,
+            RateSource::GupsUpdateRate => ProbeQuantity::GupsUpdateRate,
+            RateSource::GupsEffectiveBandwidth => ProbeQuantity::GupsEffectiveBandwidth,
+            RateSource::NetBandwidth => ProbeQuantity::NetBandwidth,
+        }
+    }
+
+    fn read(self, probes: &MachineProbes) -> f64 {
+        match self {
+            RateSource::HplRmax => probes.hpl.rmax_flops_per_proc().get(),
+            RateSource::StreamBandwidth => probes.stream.bandwidth.get(),
+            RateSource::GupsUpdateRate => probes.gups.updates_per_second.get(),
+            RateSource::GupsEffectiveBandwidth => probes.gups.effective_bandwidth().get(),
+            RateSource::NetBandwidth => probes.netbench.bandwidth.get(),
+        }
+    }
+}
+
+impl TimeSource {
+    /// The probe quantity this time is; `None` for the base runtime, which
+    /// is a ground-truth measurement, not a probe.
+    fn quantity(self) -> Option<ProbeQuantity> {
+        match self {
+            TimeSource::NetLatency => Some(ProbeQuantity::NetLatency),
+            TimeSource::NetAllreduce64 => Some(ProbeQuantity::NetAllreduce64),
+            TimeSource::BaseRuntime => None,
+        }
+    }
+
+    fn read(self, probes: &MachineProbes) -> f64 {
+        match self {
+            TimeSource::NetLatency => probes.netbench.latency.get(),
+            TimeSource::NetAllreduce64 => probes.netbench.allreduce_64p.get(),
+            TimeSource::BaseRuntime => unreachable!("the base runtime is not a probe leaf"),
+        }
+    }
+}
+
+/// Which way a probe leaf moves under the chaos injector's `probe-noise`
+/// fault with factor `f ∈ [1−ε, 1+ε]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Band {
+    /// Rates and MAPS curve points are multiplied by `f`: `x·[1−ε, 1+ε]`.
+    Scaled,
+    /// NETBENCH times are divided by `f` (a slower fabric takes longer):
+    /// `x/[1+ε, 1−ε]`.
+    Inverse,
+}
+
+/// A value domain the formula walk folds through: plain `f64`, the
+/// two-lane (target, base) pair predictions use, and the sensitivity
+/// analysis's interval-plus-derivative value.
+pub(crate) trait Domain: Copy {
+    /// A dimensionless constant, a count, or the base runtime.
+    fn constant(c: f64) -> Self;
+    /// A probe-measured leaf. `read` takes its value from one machine's
+    /// probes; `on_base` says whether the leaf sits under an
+    /// [`Expr::OnBase`].
+    fn probe(
+        ctx: &Ctx<'_, Self>,
+        on_base: bool,
+        read: impl Fn(&MachineProbes) -> f64,
+        q: ProbeQuantity,
+        band: Band,
+    ) -> Self;
+    /// `self + o`.
+    fn add(self, o: Self) -> Self;
+    /// `self · o`.
+    fn mul(self, o: Self) -> Self;
+    /// `self / o`.
+    fn div(self, o: Self) -> Self;
+    /// `max(self, o)`, left-biased on ties like `f64::max`.
+    fn max(self, o: Self) -> Self;
+}
+
+impl Domain for f64 {
+    fn constant(c: f64) -> f64 {
+        c
+    }
+    fn probe(
+        ctx: &Ctx<'_, Self>,
+        on_base: bool,
+        read: impl Fn(&MachineProbes) -> f64,
+        _: ProbeQuantity,
+        _: Band,
+    ) -> f64 {
+        read(ctx.machine(on_base))
+    }
+    fn add(self, o: f64) -> f64 {
+        self + o
+    }
+    fn mul(self, o: f64) -> f64 {
+        self * o
+    }
+    fn div(self, o: f64) -> f64 {
+        self / o
+    }
+    fn max(self, o: f64) -> f64 {
+        f64::max(self, o)
+    }
+}
+
+/// Two lanes walked in step: lane 0 reads the machine the walk is on,
+/// lane 1 always reads the base. A cost tree walked once gives
+/// `(C(X), C(X₀))`, Equation 1's numerator and denominator.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lanes(pub(crate) f64, pub(crate) f64);
+
+impl Domain for Lanes {
+    fn constant(c: f64) -> Lanes {
+        Lanes(c, c)
+    }
+    fn probe(
+        ctx: &Ctx<'_, Self>,
+        on_base: bool,
+        read: impl Fn(&MachineProbes) -> f64,
+        _: ProbeQuantity,
+        _: Band,
+    ) -> Lanes {
+        Lanes(read(ctx.machine(on_base)), read(ctx.machine(true)))
+    }
+    fn add(self, o: Lanes) -> Lanes {
+        Lanes(self.0 + o.0, self.1 + o.1)
+    }
+    fn mul(self, o: Lanes) -> Lanes {
+        Lanes(self.0 * o.0, self.1 * o.1)
+    }
+    fn div(self, o: Lanes) -> Lanes {
+        Lanes(self.0 / o.0, self.1 / o.1)
+    }
+    fn max(self, o: Lanes) -> Lanes {
+        Lanes(self.0.max(o.0), self.1.max(o.1))
+    }
+}
+
+/// What one walk reads: the machines' probes, the trace, its dependency
+/// labels, the base runtime, and the interval band.
+pub(crate) struct Ctx<'a, D> {
+    target: &'a MachineProbes,
+    base: Option<&'a MachineProbes>,
+    pub(crate) trace: &'a ApplicationTrace,
     labels: &'a [DependencyClass],
     base_time: Option<Seconds>,
-    /// Current block and its curve flavor, inside a `BlockSum`.
-    block: Option<(&'a metasim_tracer::block::TracedBlock, DependencyFlavor)>,
-    /// Current census entry, inside a `CommSum`.
+    /// Half-width of the ±ε band the interval domain puts around every
+    /// probe leaf; the other domains ignore it.
+    pub(crate) eps: f64,
+    /// Whole-trace counts: FLOPs, counter bytes, strided and random bytes.
+    flops: f64,
+    counter_bytes: f64,
+    strided_bytes: f64,
+    random_bytes: f64,
+    /// Block and census sums already walked, by subtree and side: #8
+    /// repeats #7's block sum and #9 repeats #8's network term, so a
+    /// context shared across metrics looks the repeat up.
+    sums: RefCell<Vec<(&'a Expr, bool, D)>>,
+}
+
+impl<'a, D: Domain> Ctx<'a, D> {
+    /// A walk context over `target` (and, for `OnBase` nodes or two-lane
+    /// walks, `base`).
+    pub(crate) fn new(
+        target: &'a MachineProbes,
+        base: Option<&'a MachineProbes>,
+        trace: &'a ApplicationTrace,
+        labels: &'a [DependencyClass],
+        base_time: Option<Seconds>,
+        eps: f64,
+    ) -> Self {
+        let counters = HardwareCounters::from_trace(trace);
+        let bins = trace.aggregate_bins();
+        Ctx {
+            target,
+            base,
+            trace,
+            labels,
+            base_time,
+            eps,
+            flops: counters.flops as f64,
+            counter_bytes: counters.mem_refs as f64 * REF_BYTES,
+            strided_bytes: (bins.stride1 + bins.short) as f64 * REF_BYTES,
+            random_bytes: bins.random as f64 * REF_BYTES,
+            sums: RefCell::new(Vec::new()),
+        }
+    }
+
+    /// The probes a leaf reads: the target's, or the base's under `OnBase`.
+    pub(crate) fn machine(&self, on_base: bool) -> &'a MachineProbes {
+        if on_base {
+            self.base
+                .expect("OnBase leaf in a single-machine evaluation")
+        } else {
+            self.target
+        }
+    }
+
+    fn processes(&self) -> u64 {
+        self.trace.mpi.processes
+    }
+}
+
+/// Where in the tree the walk is: which side of `OnBase`, and the current
+/// block (with its curve flavor) or census entry.
+#[derive(Clone, Copy, Default)]
+struct At<'a> {
+    on_base: bool,
+    block: Option<(&'a TracedBlock, DependencyFlavor)>,
     event: Option<&'a CommEvent>,
 }
 
-impl Ctx<'_> {
-    fn block(&self) -> (&metasim_tracer::block::TracedBlock, DependencyFlavor) {
+impl At<'_> {
+    fn block(&self) -> (&TracedBlock, DependencyFlavor) {
         self.block.expect("block leaf outside a BlockSum")
     }
 
@@ -755,24 +975,19 @@ impl Ctx<'_> {
             CommOp::Barrier => 0,
         }
     }
+}
 
-    fn processes(&self) -> u64 {
-        self.trace.mpi.processes
-    }
-
-    fn log_procs(&self) -> f64 {
-        let p = self.processes();
-        if p <= 1 {
-            0.0
-        } else {
-            (p as f64).log2().ceil()
-        }
+/// The MAPS curve flavor a dependency label selects (ENHANCED MAPS).
+fn flavor(class: DependencyClass) -> DependencyFlavor {
+    match class {
+        DependencyClass::Independent => DependencyFlavor::Independent,
+        DependencyClass::Chained => DependencyFlavor::Chained,
+        DependencyClass::Branchy => DependencyFlavor::Branchy,
     }
 }
 
-/// Interpret `expr` against one machine's probes and the application trace,
-/// with the convolver's exact operation order. The `formula_matches_convolver`
-/// test holds this to bitwise equality with [`Convolver::cost`](crate::convolver::Convolver::cost).
+/// Interpret `expr` against one machine's probes and the application
+/// trace: the cost `C(metric, X)` of a [`cost_expr`] tree.
 #[must_use]
 pub fn eval_cost(
     expr: &Expr,
@@ -780,21 +995,11 @@ pub fn eval_cost(
     trace: &ApplicationTrace,
     labels: &[DependencyClass],
 ) -> f64 {
-    let ctx = Ctx {
-        probes,
-        base_probes: None,
-        trace,
-        labels,
-        base_time: None,
-        block: None,
-        event: None,
-    };
-    eval(expr, &ctx)
+    eval(expr, &Ctx::new(probes, None, trace, labels, None, 0.0))
 }
 
 /// Interpret a [`prediction_expr`] tree: the target/base cost ratio times
-/// the measured base runtime. Matches
-/// [`predict_all`](crate::prediction::predict_all) bit-for-bit.
+/// the measured base runtime.
 #[must_use]
 pub fn eval_prediction(
     expr: &Expr,
@@ -804,148 +1009,189 @@ pub fn eval_prediction(
     labels: &[DependencyClass],
     base_time: Seconds,
 ) -> Seconds {
-    let ctx = Ctx {
-        probes: target,
-        base_probes: Some(base),
-        trace,
-        labels,
-        base_time: Some(base_time),
-        block: None,
-        event: None,
-    };
+    let ctx = Ctx::new(target, Some(base), trace, labels, Some(base_time), 0.0);
     Seconds::new(eval(expr, &ctx))
 }
 
-fn eval(expr: &Expr, ctx: &Ctx<'_>) -> f64 {
+/// Fold `expr` through the value domain `D` — the one evaluator of the
+/// nine transfer functions.
+pub(crate) fn eval<'a, D: Domain>(expr: &'a Expr, ctx: &Ctx<'a, D>) -> D {
+    walk(expr, ctx, &At::default())
+}
+
+fn walk<'a, D: Domain>(expr: &'a Expr, ctx: &Ctx<'a, D>, at: &At<'a>) -> D {
     match expr {
-        Expr::Const(c) => *c,
-        Expr::Rate(r) => match r {
-            RateSource::HplRmax => ctx.probes.hpl.rmax_flops_per_proc().get(),
-            RateSource::StreamBandwidth => ctx.probes.stream.bandwidth.get(),
-            RateSource::GupsUpdateRate => ctx.probes.gups.updates_per_second.get(),
-            RateSource::GupsEffectiveBandwidth => ctx.probes.gups.effective_bandwidth().get(),
-            RateSource::NetBandwidth => ctx.probes.netbench.bandwidth.get(),
-        },
-        Expr::Time(t) => match t {
-            TimeSource::NetLatency => ctx.probes.netbench.latency.get(),
-            TimeSource::NetAllreduce64 => ctx.probes.netbench.allreduce_64p.get(),
-            TimeSource::BaseRuntime => ctx
-                .base_time
-                .expect("BaseRuntime leaf in a cost-only evaluation")
-                .get(),
-        },
-        Expr::Scale(s) => match s {
-            ScaleSource::LogProcs => ctx.log_procs(),
-            ScaleSource::ProcsMinusOne => ctx.processes().saturating_sub(1) as f64,
-            ScaleSource::AllreduceLogScale => ((ctx.processes() as f64).log2() / 6.0).max(0.17),
-        },
-        Expr::Count(c) => match c {
-            CountSource::TracedFlops => ctx.trace.total_flops() as f64,
-            CountSource::CounterFlops => HardwareCounters::from_trace(ctx.trace).flops as f64,
-            CountSource::CounterBytes => {
-                HardwareCounters::from_trace(ctx.trace).mem_refs as f64 * REF_BYTES
-            }
-            CountSource::StridedBytes => {
-                let bins = ctx.trace.aggregate_bins();
-                (bins.stride1 + bins.short) as f64 * REF_BYTES
-            }
-            CountSource::RandomBytes => ctx.trace.aggregate_bins().random as f64 * REF_BYTES,
-            CountSource::BlockFlops => ctx.block().0.flops as f64,
-            CountSource::BlockStridedBytes => {
-                let bins = &ctx.block().0.bins;
-                (bins.stride1 + bins.short) as f64 * REF_BYTES
-            }
-            CountSource::BlockRandomBytes => ctx.block().0.bins.random as f64 * REF_BYTES,
-            CountSource::BlockInvocations => ctx.block().0.invocations as f64,
-            CountSource::EventCount => ctx.event().count as f64,
-            CountSource::EventBytes => ctx.event_bytes() as f64,
-            CountSource::AllreduceExtraBytes => {
-                let extra = ctx.event_bytes().saturating_sub(8) as f64;
-                (ctx.processes() as f64).log2().ceil() * extra
-            }
-        },
-        Expr::Curve { random } => {
-            let (block, flavor) = ctx.block();
-            ctx.probes
-                .maps
-                .curve(*random, flavor)
-                .bandwidth_at(block.working_set.max(1))
-                .get()
-        }
-        Expr::Recip(e) => 1.0 / eval(e, ctx),
-        Expr::Ratio(a, b) => eval(a, ctx) / eval(b, ctx),
-        Expr::Mul(a, b) => eval(a, ctx) * eval(b, ctx),
-        // Left-fold like the convolver's binary `+` chains; `reduce` keeps
-        // two-term sums literally `a + b`.
+        Expr::Recip(e) => D::constant(1.0).div(walk(e, ctx, at)),
+        Expr::Ratio(a, b) => walk::<D>(a, ctx, at).div(walk(b, ctx, at)),
+        Expr::Mul(a, b) => walk::<D>(a, ctx, at).mul(walk(b, ctx, at)),
+        // Left fold; `reduce` keeps two-term sums literally `a + b`.
         Expr::Sum(terms) => terms
             .iter()
-            .map(|t| eval(t, ctx))
-            .reduce(|a, b| a + b)
-            .unwrap_or(0.0),
-        Expr::Max(a, b) => eval(a, ctx).max(eval(b, ctx)),
+            .map(|t| walk::<D>(t, ctx, at))
+            .reduce(D::add)
+            .unwrap_or_else(|| D::constant(0.0)),
+        Expr::Max(a, b) => walk::<D>(a, ctx, at).max(walk(b, ctx, at)),
         Expr::BlockSum { labeled, body } => {
-            if *labeled {
-                assert_eq!(
-                    ctx.labels.len(),
-                    ctx.trace.blocks.len(),
-                    "dependency labels must be parallel to blocks"
-                );
-            }
-            let mut total = 0.0;
-            for (i, block) in ctx.trace.blocks.iter().enumerate() {
-                let flavor = if *labeled {
-                    match ctx.labels[i] {
-                        DependencyClass::Independent => DependencyFlavor::Independent,
-                        DependencyClass::Chained => DependencyFlavor::Chained,
-                        DependencyClass::Branchy => DependencyFlavor::Branchy,
-                    }
-                } else {
-                    DependencyFlavor::Independent
-                };
-                let mut inner = *ctx;
-                inner.block = Some((block, flavor));
-                total += eval(body, &inner);
-            }
-            total
+            summed(expr, ctx, at, || block_sum(*labeled, body, ctx, at))
         }
-        Expr::CommSum(body) => {
-            let mut total = 0.0;
-            for event in &ctx.trace.mpi.events {
-                let mut inner = *ctx;
-                inner.event = Some(event);
-                total += eval(body, &inner);
-            }
-            total
-        }
-        Expr::OpSwitch(arms) => {
-            let op = ctx.event().op;
-            // NETBENCH's all_reduce estimate short-circuits to zero below
-            // two processes; mirror that guard.
-            if matches!(op, CommOp::AllReduce { .. }) && ctx.processes() <= 1 {
-                return 0.0;
-            }
-            let (_, body) = arms
-                .iter()
-                .find(|(kind, _)| kind.matches(op))
-                .expect("comm-op switch missing an arm for a traced operation");
-            eval(body, ctx)
-        }
+        Expr::CommSum(body) => summed(expr, ctx, at, || comm_sum(body, ctx, at)),
+        Expr::OpSwitch(arms) => op_switch(arms, ctx, at),
         Expr::OnBase(e) => {
-            let mut inner = *ctx;
-            inner.probes = ctx
-                .base_probes
-                .expect("OnBase leaf in a single-machine evaluation");
-            eval(e, &inner)
+            assert!(
+                ctx.base.is_some(),
+                "OnBase leaf in a single-machine evaluation"
+            );
+            walk(
+                e,
+                ctx,
+                &At {
+                    on_base: true,
+                    ..*at
+                },
+            )
         }
+        _ => leaf(expr, ctx, at),
     }
+}
+
+fn leaf<D: Domain>(expr: &Expr, ctx: &Ctx<'_, D>, at: &At<'_>) -> D {
+    match expr {
+        Expr::Const(c) => D::constant(*c),
+        Expr::Rate(r) => D::probe(ctx, at.on_base, |p| r.read(p), r.quantity(), Band::Scaled),
+        Expr::Time(TimeSource::BaseRuntime) => D::constant(
+            ctx.base_time
+                .expect("BaseRuntime leaf in a cost-only evaluation")
+                .get(),
+        ),
+        Expr::Time(t) => D::probe(
+            ctx,
+            at.on_base,
+            |p| t.read(p),
+            t.quantity().expect("a NETBENCH time"),
+            Band::Inverse,
+        ),
+        Expr::Scale(s) => {
+            let p = ctx.processes();
+            D::constant(match s {
+                ScaleSource::LogProcs if p <= 1 => 0.0,
+                ScaleSource::LogProcs => (p as f64).log2().ceil(),
+                ScaleSource::ProcsMinusOne => p.saturating_sub(1) as f64,
+                ScaleSource::AllreduceLogScale => ((p as f64).log2() / 6.0).max(0.17),
+            })
+        }
+        Expr::Count(c) => D::constant(match c {
+            CountSource::TracedFlops | CountSource::CounterFlops => ctx.flops,
+            CountSource::CounterBytes => ctx.counter_bytes,
+            CountSource::StridedBytes => ctx.strided_bytes,
+            CountSource::RandomBytes => ctx.random_bytes,
+            CountSource::BlockFlops => at.block().0.flops as f64,
+            CountSource::BlockStridedBytes => {
+                let bins = &at.block().0.bins;
+                (bins.stride1 + bins.short) as f64 * REF_BYTES
+            }
+            CountSource::BlockRandomBytes => at.block().0.bins.random as f64 * REF_BYTES,
+            CountSource::BlockInvocations => at.block().0.invocations as f64,
+            CountSource::EventCount => at.event().count as f64,
+            CountSource::EventBytes => at.event_bytes() as f64,
+            CountSource::AllreduceExtraBytes => {
+                let extra = at.event_bytes().saturating_sub(8) as f64;
+                (ctx.processes() as f64).log2().ceil() * extra
+            }
+        }),
+        Expr::Curve { random } => {
+            // Probe noise scales every curve point by one factor, and the
+            // lookup's log-linear interpolation is linear in the point
+            // bandwidths, so the perturbed lookup is exactly x·f.
+            let (block, flavor) = at.block();
+            let ws = block.working_set.max(1);
+            D::probe(
+                ctx,
+                at.on_base,
+                |p| p.maps.curve(*random, flavor).bandwidth_at(ws).get(),
+                ProbeQuantity::MapsCurves,
+                Band::Scaled,
+            )
+        }
+        _ => unreachable!("interior node at a leaf"),
+    }
+}
+
+/// A block or census sum, looked up if this context already walked an
+/// equal one on the same side.
+fn summed<'a, D: Domain>(
+    expr: &'a Expr,
+    ctx: &Ctx<'a, D>,
+    at: &At<'a>,
+    sum: impl FnOnce() -> D,
+) -> D {
+    if at.block.is_some() || at.event.is_some() {
+        return sum();
+    }
+    let seen = |(e, on_base, _): &&(&Expr, bool, D)| {
+        *on_base == at.on_base && (std::ptr::eq(*e, expr) || *e == expr)
+    };
+    if let Some(&(_, _, v)) = ctx.sums.borrow().iter().find(seen) {
+        return v;
+    }
+    let v = sum();
+    ctx.sums.borrow_mut().push((expr, at.on_base, v));
+    v
+}
+
+fn block_sum<'a, D: Domain>(labeled: bool, body: &'a Expr, ctx: &Ctx<'a, D>, at: &At<'a>) -> D {
+    if labeled {
+        assert_eq!(
+            ctx.labels.len(),
+            ctx.trace.blocks.len(),
+            "dependency labels must be parallel to blocks"
+        );
+    }
+    let mut total = D::constant(0.0);
+    for (i, block) in ctx.trace.blocks.iter().enumerate() {
+        let f = if labeled {
+            flavor(ctx.labels[i])
+        } else {
+            DependencyFlavor::Independent
+        };
+        let inner = At {
+            block: Some((block, f)),
+            ..*at
+        };
+        total = total.add(walk(body, ctx, &inner));
+    }
+    total
+}
+
+fn comm_sum<'a, D: Domain>(body: &'a Expr, ctx: &Ctx<'a, D>, at: &At<'a>) -> D {
+    let mut total = D::constant(0.0);
+    for event in &ctx.trace.mpi.events {
+        let inner = At {
+            event: Some(event),
+            ..*at
+        };
+        total = total.add(walk(body, ctx, &inner));
+    }
+    total
+}
+
+fn op_switch<'a, D: Domain>(arms: &'a [(CommOpKind, Expr)], ctx: &Ctx<'a, D>, at: &At<'a>) -> D {
+    let op = at.event().op;
+    // NETBENCH's all_reduce estimate is zero below two processes.
+    if matches!(op, CommOp::AllReduce { .. }) && ctx.processes() <= 1 {
+        return D::constant(0.0);
+    }
+    let (_, body) = arms
+        .iter()
+        .find(|(kind, _)| kind.matches(op))
+        .expect("comm-op switch missing an arm for a traced operation");
+    walk(body, ctx, at)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convolver::Convolver;
     use crate::prediction::predict_all;
-    use metasim_apps::registry::TestCase;
+    use metasim_apps::registry::{all_test_cases, TestCase};
     use metasim_apps::tracing::trace_workload;
     use metasim_machines::{fleet, MachineId};
     use metasim_probes::suite::ProbeSuite;
@@ -1033,61 +1279,134 @@ mod tests {
     }
 
     #[test]
-    fn formula_matches_convolver_bitwise() {
-        let f = fleet();
-        let suite = ProbeSuite::new();
-        let probes = suite.measure(f.get(MachineId::ArlAltix));
-        let trace = trace_workload(&TestCase::HycomStandard.workload(96));
-        let labels = analyze_dependencies(&trace.blocks);
-        let conv = Convolver::new(&probes);
-        for m in MetricId::ALL {
-            let from_ir = eval_cost(&cost_expr(m), &probes, &trace, &labels);
-            let from_convolver = conv.cost(m, &trace, &labels);
-            assert_eq!(
-                from_ir.to_bits(),
-                from_convolver.to_bits(),
-                "{m}: IR {from_ir:e} vs convolver {from_convolver:e}"
-            );
-        }
-    }
-
-    #[test]
     fn prediction_formula_matches_predict_all_bitwise() {
+        // The single-lane walk of the prediction tree against the two-lane
+        // walk of the cost tree, on every paper trace.
         let f = fleet();
         let suite = ProbeSuite::new();
         let base = suite.measure(f.base());
         let target = suite.measure(f.get(MachineId::ArlOpteron));
+        let t0 = Seconds::new(4242.0);
+        for (case, cpus) in all_test_cases() {
+            let trace = trace_workload(&case.workload(cpus));
+            let labels = analyze_dependencies(&trace.blocks);
+            let reference = predict_all(&trace, &labels, &target, &base, t0);
+            for (i, m) in MetricId::ALL.into_iter().enumerate() {
+                let from_ir =
+                    eval_prediction(&prediction_expr(m), &target, &base, &trace, &labels, t0);
+                assert_eq!(
+                    from_ir.get().to_bits(),
+                    reference[i].get().to_bits(),
+                    "{}/{cpus} {m}: IR {from_ir} vs predict_all {}",
+                    case.label(),
+                    reference[i]
+                );
+            }
+        }
+    }
+
+    fn setup(id: MachineId) -> (MachineProbes, ApplicationTrace, Vec<DependencyClass>) {
+        let probes = (*ProbeSuite::new().measure(fleet().get(id))).clone();
         let trace = trace_workload(&TestCase::AvusStandard.workload(64));
         let labels = analyze_dependencies(&trace.blocks);
-        let t0 = Seconds::new(4242.0);
-        let reference = predict_all(&trace, &labels, &target, &base, t0);
-        for (i, m) in MetricId::ALL.into_iter().enumerate() {
-            let from_ir = eval_prediction(&prediction_expr(m), &target, &base, &trace, &labels, t0);
-            assert_eq!(
-                from_ir.get().to_bits(),
-                reference[i].get().to_bits(),
-                "{m}: IR {from_ir} vs predict_all {}",
-                reference[i]
-            );
+        (probes, trace, labels)
+    }
+
+    fn cost(
+        m: MetricId,
+        probes: &MachineProbes,
+        trace: &ApplicationTrace,
+        labels: &[DependencyClass],
+    ) -> f64 {
+        eval_cost(&cost_expr(m), probes, trace, labels)
+    }
+
+    #[test]
+    fn metric4_ratio_equals_hpl_ratio() {
+        // The flop count cancels in the ratio, reproducing Equation 1.
+        let (pa, trace, labels) = setup(MachineId::ArlOpteron);
+        let (pb, _, _) = setup(MachineId::AscSc45);
+        let conv_ratio = cost(MetricId::P4Hpl, &pa, &trace, &labels)
+            / cost(MetricId::P4Hpl, &pb, &trace, &labels);
+        let hpl_ratio = cost(MetricId::S1Hpl, &pa, &trace, &labels)
+            / cost(MetricId::S1Hpl, &pb, &trace, &labels);
+        assert!(
+            (conv_ratio - hpl_ratio).abs() / hpl_ratio < 1e-12,
+            "{conv_ratio} vs {hpl_ratio}"
+        );
+    }
+
+    #[test]
+    fn costs_are_positive_and_finite_for_all_metrics() {
+        let (probes, trace, labels) = setup(MachineId::MhpccP3);
+        for m in MetricId::ALL {
+            let c = cost(m, &probes, &trace, &labels);
+            assert!(c > 0.0 && c.is_finite(), "{m}: {c}");
         }
+    }
+
+    #[test]
+    fn memory_terms_dominate_flop_terms_for_these_apps() {
+        // The TI-05 suite is memory-bound: #5's cost must exceed #4's.
+        let (probes, trace, labels) = setup(MachineId::ArlXeon);
+        let c4 = cost(MetricId::P4Hpl, &probes, &trace, &labels);
+        let c5 = cost(MetricId::P5HplStream, &probes, &trace, &labels);
+        assert!(c5 > 2.0 * c4, "#5 {c5} should dwarf #4 {c4}");
+    }
+
+    #[test]
+    fn random_discrimination_raises_cost_above_stream_only() {
+        // GUPS rates are far below STREAM: #6's cost must exceed #5's.
+        let (probes, trace, labels) = setup(MachineId::Navo655);
+        let c5 = cost(MetricId::P5HplStream, &probes, &trace, &labels);
+        let c6 = cost(MetricId::P6HplStreamGups, &probes, &trace, &labels);
+        assert!(c6 > c5, "#6 {c6} vs #5 {c5}");
+    }
+
+    #[test]
+    fn maps_sees_cache_residency_that_stream_does_not() {
+        // #7 rates cache-resident blocks faster than #6's main-memory
+        // rates; with this workload's mix, #7's cost is below #6's.
+        let (probes, trace, labels) = setup(MachineId::ArlAltix);
+        let c6 = cost(MetricId::P6HplStreamGups, &probes, &trace, &labels);
+        let c7 = cost(MetricId::P7HplMaps, &probes, &trace, &labels);
+        assert!(c7 < c6, "#7 {c7} vs #6 {c6}");
+    }
+
+    #[test]
+    fn network_term_adds_to_metric8() {
+        let (probes, trace, labels) = setup(MachineId::MhpccP3);
+        let c7 = cost(MetricId::P7HplMaps, &probes, &trace, &labels);
+        let c8 = cost(MetricId::P8HplMapsNet, &probes, &trace, &labels);
+        assert!(c8 > c7);
+        let net = eval_cost(&network_cost_expr(), &probes, &trace, &labels);
+        assert!((c8 - c7 - net).abs() / net < 1e-9);
+    }
+
+    #[test]
+    fn dependency_term_slows_chained_blocks() {
+        let (probes, trace, labels) = setup(MachineId::Navo655);
+        let c8 = cost(MetricId::P8HplMapsNet, &probes, &trace, &labels);
+        let c9 = cost(MetricId::P9HplMapsNetDep, &probes, &trace, &labels);
+        assert!(
+            c9 > c8,
+            "enhanced curves must slow the dependency-flagged blocks: {c9} vs {c8}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "parallel to blocks")]
+    fn mismatched_labels_panic() {
+        let (probes, trace, _) = setup(MachineId::ArlXeon);
+        let _ = cost(MetricId::P9HplMapsNetDep, &probes, &trace, &[]);
     }
 
     /// Reference traversal: every quantity occurrence in evaluation
     /// order, duplicates included.
     fn all_occurrences(expr: &Expr, out: &mut Vec<ProbeQuantity>) {
         match expr {
-            Expr::Rate(r) => out.push(match r {
-                RateSource::HplRmax => ProbeQuantity::HplRmax,
-                RateSource::StreamBandwidth => ProbeQuantity::StreamBandwidth,
-                RateSource::GupsUpdateRate => ProbeQuantity::GupsUpdateRate,
-                RateSource::GupsEffectiveBandwidth => ProbeQuantity::GupsEffectiveBandwidth,
-                RateSource::NetBandwidth => ProbeQuantity::NetBandwidth,
-            }),
-            Expr::Time(t) => match t {
-                TimeSource::NetLatency => out.push(ProbeQuantity::NetLatency),
-                TimeSource::NetAllreduce64 => out.push(ProbeQuantity::NetAllreduce64),
-                TimeSource::BaseRuntime => {}
-            },
+            Expr::Rate(r) => out.push(r.quantity()),
+            Expr::Time(t) => out.extend(t.quantity()),
             Expr::Curve { .. } => out.push(ProbeQuantity::MapsCurves),
             Expr::Const(_) | Expr::Count(_) | Expr::Scale(_) => {}
             Expr::Recip(e) | Expr::OnBase(e) | Expr::CommSum(e) => all_occurrences(e, out),

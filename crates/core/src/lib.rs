@@ -6,12 +6,17 @@
 //!   predictive).
 //! * [`simple`] — Equation 1: scale the base system's measured runtime by a
 //!   single benchmark ratio (Metrics #1–#3).
-//! * [`convolver`] — the MetaSim Convolver: per-basic-block operation counts
-//!   divided by per-machine operation rates, summed with overlap, plus the
-//!   NETBENCH network term (#8) and the ENHANCED-MAPS dependency term (#9).
+//! * [`formula`] — the MetaSim convolver's nine transfer functions as a
+//!   dimension-tagged symbolic IR, and the one evaluator that runs them:
+//!   per-basic-block operation counts divided by per-machine operation
+//!   rates, summed with overlap, plus the NETBENCH network term (#8) and
+//!   the ENHANCED-MAPS dependency term (#9). The walk is generic over a
+//!   value domain, so predictions, `metasim lint`, and `metasim sense` all
+//!   read the same trees through the same code.
 //! * [`prediction`] — base-calibrated predictions for all nine metrics
-//!   (`T′(X) = C(X)/C(X₀) · T(X₀)`), which makes Metric #4 reduce exactly to
-//!   Metric #1, as the paper observes.
+//!   (`T′(X) = C(X)/C(X₀) · T(X₀)`), walking each cost tree once for target
+//!   and base together; Metric #4 reduces exactly to Metric #1, as the
+//!   paper observes.
 //! * [`study`] — the full 150-observation × 9-metric driver behind Table 4,
 //!   Table 5, and Figures 2–7, sharded across workers along the
 //!   lint-certified cut. The grid here is the paper's own (ten target
@@ -24,14 +29,12 @@
 //!   weights, then regression-optimized weights).
 //! * [`ranking`] — the rank-correlation extension: how well each metric
 //!   *ranks* machines (Kendall τ), quantifying the introduction's framing.
-//! * [`formula`] — a dimension-tagged symbolic IR of the nine transfer
-//!   functions, pinned bit-for-bit against the convolver.
 //! * [`lint`] — `metasim lint`: static dimension/dataflow checks over the
 //!   formulas and the study plan (the `MS5xx` rules).
 //! * [`sensitivity`] — `metasim sense`: interval bounds and first-order
-//!   elasticities per probe quantity, abstractly interpreted over the
-//!   formula IR and cross-validated against chaos probe noise (the
-//!   `MS9xx` rules).
+//!   elasticities per probe quantity, the formula walk folded through an
+//!   interval-plus-derivative domain and cross-validated against chaos
+//!   probe noise (the `MS9xx` rules).
 //!
 //! ```no_run
 //! use metasim_core::study::Study;
@@ -44,7 +47,6 @@
 
 pub mod audit;
 pub mod balanced;
-pub mod convolver;
 pub mod dataflow;
 pub mod executor;
 pub mod formula;
@@ -59,7 +61,6 @@ pub mod superlatives;
 pub mod verification;
 
 pub use audit::{audit_inputs, audit_study, preflight, preflight_with_policy};
-pub use convolver::Convolver;
 pub use dataflow::{DataflowModel, DataflowMutation, StudyGraph};
 pub use lint::{
     lint_all_with_policy, lint_full_with_policy, lint_with_policy, AnyMutation, LintModel, Mutation,

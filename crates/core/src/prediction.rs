@@ -7,19 +7,21 @@
 //! T′(metric, X) = C(metric, X) / C(metric, X₀) · T(X₀)
 //! ```
 //!
-//! For simple metrics the cost is a reciprocal rate, so this is literally
-//! Equation 1; for predictive metrics it is the convolver's transfer
-//! function evaluated on both machines. The paper's observation that Metric
-//! #4's results equal Metric #1's ("the convolver's execution is identical
-//! to that of a pencil-and-paper calculation") falls out algebraically and
-//! is pinned by a test here.
+//! The cost is the metric's transfer function in the formula IR
+//! ([`crate::formula::cost_expr`]), walked once per metric in the two-lane
+//! domain that yields the target's and the base's cost together. For
+//! simple metrics the cost is a reciprocal rate, so this is literally
+//! Equation 1. The paper's observation that Metric #4's results equal
+//! Metric #1's ("the convolver's execution is identical to that of a
+//! pencil-and-paper calculation") falls out algebraically — the flop count
+//! cancels in the ratio — and is pinned by a test here.
 
 use metasim_probes::suite::MachineProbes;
 use metasim_tracer::block::DependencyClass;
 use metasim_tracer::trace::ApplicationTrace;
 use metasim_units::Seconds;
 
-use crate::convolver::Convolver;
+use crate::formula::{cost_tree, eval, Ctx, Lanes};
 use crate::metric::MetricId;
 
 /// All nine metric predictions for one target machine.
@@ -37,18 +39,12 @@ pub fn predict_all(
     time_base: Seconds,
 ) -> [Seconds; 9] {
     assert!(time_base > 0.0, "base runtime must be positive");
-    let ct = Convolver::new(target);
-    let cb = Convolver::new(base);
-    let mut out = [Seconds::new(0.0); 9];
-    for (i, metric) in MetricId::ALL.into_iter().enumerate() {
+    let ctx = Ctx::new(target, Some(base), trace, dep_labels, None, 0.0);
+    MetricId::ALL.map(|metric| {
         let _span = metasim_obs::recording()
             .then(|| metasim_obs::span(format!("metric:{}", metric.short_label())));
-        let cost_target = ct.cost(metric, trace, dep_labels);
-        let cost_base = cb.cost(metric, trace, dep_labels);
-        debug_assert!(cost_base > 0.0, "{metric}: zero base cost");
-        out[i] = cost_target / cost_base * time_base;
-    }
-    out
+        predict(metric, &ctx, time_base)
+    })
 }
 
 /// Prediction for a single metric (convenience for examples and the CLI).
@@ -61,9 +57,35 @@ pub fn predict_one(
     base: &MachineProbes,
     time_base: Seconds,
 ) -> Seconds {
-    let ct = Convolver::new(target);
-    let cb = Convolver::new(base);
-    ct.cost(metric, trace, dep_labels) / cb.cost(metric, trace, dep_labels) * time_base
+    let ctx = Ctx::new(target, Some(base), trace, dep_labels, None, 0.0);
+    predict(metric, &ctx, time_base)
+}
+
+/// One metric's cost tree, walked once for target and base, calibrated by
+/// Equation 1.
+fn predict(metric: MetricId, ctx: &Ctx<'_, Lanes>, time_base: Seconds) -> Seconds {
+    if metasim_obs::recording() {
+        // Counted for target and for base, as two cost evaluations.
+        metasim_obs::counter_add("convolver.terms", 2 * terms(metric, ctx.trace));
+    }
+    let Lanes(cost_target, cost_base) = eval(cost_tree(metric), ctx);
+    debug_assert!(cost_base > 0.0, "{metric}: zero base cost");
+    cost_target / cost_base * time_base
+}
+
+/// Transfer-function size on one machine: one term per summed cost
+/// contribution (benchmark rates, counter totals, per-block convolutions,
+/// MPI census entries).
+fn terms(metric: MetricId, trace: &ApplicationTrace) -> u64 {
+    let terms = match metric {
+        MetricId::S1Hpl | MetricId::S2Stream | MetricId::S3Gups | MetricId::P4Hpl => 1,
+        MetricId::P5HplStream | MetricId::P6HplStreamGups => 2,
+        MetricId::P7HplMaps => trace.blocks.len(),
+        MetricId::P8HplMapsNet | MetricId::P9HplMapsNetDep => {
+            trace.blocks.len() + trace.mpi.events.len()
+        }
+    };
+    terms as u64
 }
 
 #[cfg(test)]
@@ -144,8 +166,31 @@ mod tests {
                 &base,
                 Seconds::new(4321.0),
             );
-            assert!((one - all[i]).abs() < 1e-9, "{metric}");
+            assert_eq!(one.get().to_bits(), all[i].get().to_bits(), "{metric}");
         }
+    }
+
+    #[test]
+    fn convolver_terms_counter_counts_target_and_base_on_every_metric() {
+        use metasim_obs::InMemoryRecorder;
+        let f = fleet();
+        let suite = ProbeSuite::new();
+        let base = suite.measure(f.base());
+        let target = suite.measure(f.get(MachineId::ArlXeon));
+        let trace = trace_workload(&TestCase::AvusStandard.workload(64));
+        let labels = analyze_dependencies(&trace.blocks);
+        let rec = std::sync::Arc::new(InMemoryRecorder::new());
+        metasim_obs::with_recorder(rec.clone(), || {
+            let _ = predict_all(&trace, &labels, &target, &base, Seconds::new(1.0));
+        });
+        // #1–#4 one term each, #5/#6 two, #7 one per block, #8/#9 one per
+        // block and census entry; each on target and on base.
+        let (blocks, events) = (trace.blocks.len() as u64, trace.mpi.events.len() as u64);
+        let per_machine = 4 + 2 * 2 + blocks + 2 * (blocks + events);
+        assert_eq!(
+            rec.metrics_snapshot().counter("convolver.terms"),
+            2 * per_machine
+        );
     }
 
     #[test]
