@@ -15,8 +15,8 @@
 //!   --seed 42` are byte-identical.
 //! * **Fault points** — instrumented crates ask the free functions
 //!   [`fires`] and [`factor`] whether the installed plan injects a fault at
-//!   a named site. With no plan installed both collapse to one relaxed
-//!   atomic load (the same zero-cost pattern as `metasim_obs::Recorder`),
+//!   a named site. With no plan reachable from the calling thread both
+//!   collapse to one thread-local read and one relaxed atomic load,
 //!   and an installed *empty* plan answers exactly like no plan at all —
 //!   study outputs stay bit-for-bit identical.
 //! * **Retries** — [`RetryPolicy`] wraps probe measurement and cache loads
@@ -36,7 +36,7 @@ pub mod plan;
 pub mod retry;
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 
 pub use plan::{FaultPlan, FaultSpec, NOISE_TOLERANCE};
@@ -70,10 +70,12 @@ pub trait FaultPoint: Send + Sync {
     fn factor(&self, site: &str, labels: &[&str]) -> f64;
 }
 
-/// Number of fault points currently reachable (global install +
-/// thread-local overrides). The instrumentation fast path is one relaxed
-/// load of this counter: zero means [`fires`] and [`factor`] are no-ops.
-static ACTIVE: AtomicUsize = AtomicUsize::new(0);
+/// Whether a process-wide fault point is installed. Together with the
+/// calling thread's own override this is the whole instrumentation fast
+/// path: with neither, [`fires`] and [`factor`] are no-ops. A plan another
+/// thread scoped with [`with_plan`] is invisible here, so concurrent tests
+/// never see each other's plans.
+static INSTALLED: AtomicBool = AtomicBool::new(false);
 
 /// The process-wide fault point, installed by the CLI for one chaos run.
 static GLOBAL: RwLock<Option<Arc<dyn FaultPoint>>> = RwLock::new(None);
@@ -87,21 +89,19 @@ thread_local! {
 /// instrumented seam consults it until [`uninstall`].
 pub fn install(point: Arc<dyn FaultPoint>) {
     let mut slot = GLOBAL.write().expect("chaos global lock");
-    if slot.replace(point).is_none() {
-        ACTIVE.fetch_add(1, Ordering::SeqCst);
-    }
+    *slot = Some(point);
+    INSTALLED.store(true, Ordering::SeqCst);
 }
 
 /// Remove the process-wide fault point, returning injection to no-ops.
 pub fn uninstall() {
     let mut slot = GLOBAL.write().expect("chaos global lock");
-    if slot.take().is_some() {
-        ACTIVE.fetch_sub(1, Ordering::SeqCst);
-    }
+    *slot = None;
+    INSTALLED.store(false, Ordering::SeqCst);
 }
 
-/// Decrements [`ACTIVE`] and clears the thread-local fault point even when
-/// the wrapped closure unwinds.
+/// Restores the previous thread-local fault point even when the wrapped
+/// closure unwinds.
 struct LocalGuard {
     prev: Option<Arc<dyn FaultPoint>>,
 }
@@ -109,7 +109,6 @@ struct LocalGuard {
 impl Drop for LocalGuard {
     fn drop(&mut self) {
         LOCAL.with(|l| *l.borrow_mut() = self.prev.take());
-        ACTIVE.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -119,7 +118,6 @@ impl Drop for LocalGuard {
 /// included.
 pub fn with_plan<R>(point: Arc<dyn FaultPoint>, f: impl FnOnce() -> R) -> R {
     let prev = LOCAL.with(|l| l.borrow_mut().replace(point));
-    ACTIVE.fetch_add(1, Ordering::SeqCst);
     let _guard = LocalGuard { prev };
     f()
 }
@@ -128,25 +126,28 @@ pub fn with_plan<R>(point: Arc<dyn FaultPoint>, f: impl FnOnce() -> R) -> R {
 /// thread-local override first, then the global install.
 #[must_use]
 pub fn point() -> Option<Arc<dyn FaultPoint>> {
-    if ACTIVE.load(Ordering::Relaxed) == 0 {
-        return None;
-    }
-    LOCAL
-        .with(|l| l.borrow().clone())
-        .or_else(|| GLOBAL.read().expect("chaos global lock").clone())
+    LOCAL.with(|l| l.borrow().clone()).or_else(|| {
+        if INSTALLED.load(Ordering::Relaxed) {
+            GLOBAL.read().expect("chaos global lock").clone()
+        } else {
+            None
+        }
+    })
 }
 
-/// Whether any fault point is reachable (cheap: one relaxed atomic load).
-/// Consumers use this to skip perturbation code entirely, keeping the
-/// fault-free path byte-identical to a build without this crate.
+/// Whether a fault point is reachable from this thread: its own
+/// [`with_plan`] override or the global install. Cheap — one thread-local
+/// read and one relaxed atomic load. Consumers use this to skip
+/// perturbation code entirely, keeping the fault-free path byte-identical
+/// to a build without this crate.
 #[must_use]
 pub fn active() -> bool {
-    ACTIVE.load(Ordering::Relaxed) != 0
+    INSTALLED.load(Ordering::Relaxed) || LOCAL.with(|l| l.borrow().is_some())
 }
 
-/// Does the installed plan fire a fault at this coordinate? `false` (one
-/// relaxed load) when no plan is installed. Fired faults bump the
-/// `chaos.faults.injected` obs counter.
+/// Does the reachable plan fire a fault at this coordinate? `false` (a
+/// thread-local read and one relaxed load) when no plan is reachable.
+/// Fired faults bump the `chaos.faults.injected` obs counter.
 #[must_use]
 pub fn fires(site: &str, labels: &[&str]) -> bool {
     match point() {
@@ -196,7 +197,29 @@ mod tests {
             assert!(fires(site::MEASURE, &["x", "1"]));
             assert_eq!(factor(site::PROBE_NOISE, &["hpl", "x"]), 2.0);
         });
-        assert_eq!(active(), before, "ACTIVE must be restored");
+        assert_eq!(active(), before, "the override must be restored");
+    }
+
+    #[test]
+    fn another_threads_plan_is_invisible() {
+        let (entered, release) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        let seen = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                with_plan(Arc::new(Always), || {
+                    entered.wait();
+                    release.wait();
+                });
+            });
+            entered.wait();
+            let seen = (active(), point().is_some());
+            release.wait();
+            seen
+        });
+        assert_eq!(
+            seen,
+            (false, false),
+            "a plan scoped on another thread leaked"
+        );
     }
 
     #[test]

@@ -326,6 +326,36 @@ mod tests {
     }
 
     #[test]
+    fn batched_drive_matches_scalar_loop_on_a_1024_entry_tlb() {
+        // A 64 MiB random stream spans 16,384 pages, so a 1,024-entry TLB
+        // misses on most accesses and evicts its LRU page thousands of
+        // times: the big-TLB eviction path the shipped p690/p655s take.
+        let mut s = spec();
+        s.tlb.entries = 1024;
+        let n = (DRIVE_BATCH as u64) * 12 + 17;
+        let w = Workload::new(64 << 20, AccessKind::Random, DependencyMode::Independent);
+        let rng = SeededRng::new(w.seed ^ w.working_set);
+        let mut a = RandomStream::new(0, w.working_set, ELEMENT_BYTES, rng.clone());
+        let mut b = RandomStream::new(0, w.working_set, ELEMENT_BYTES, rng);
+        let (mut batched, mut scalar) = (HierarchySim::new(&s), HierarchySim::new(&s));
+        let mut reference = crate::tlb::ScanLru::new(s.tlb.entries);
+        let page_shift = s.tlb.page_bytes.trailing_zeros();
+        drive(&mut batched, &mut a, n);
+        for _ in 0..n {
+            let addr = b.next_addr();
+            scalar.access(addr, ELEMENT_BYTES);
+            reference.access_page(addr >> page_shift);
+        }
+        assert_eq!(batched.profile(), scalar.profile());
+        assert_eq!(batched.profile().tlb_misses, reference.misses);
+        assert!(
+            reference.misses > 8 * s.tlb.entries as u64,
+            "{}",
+            reference.misses
+        );
+    }
+
+    #[test]
     fn workload_accessors() {
         let w = Workload::new(1 << 20, AccessKind::Strided(4), DependencyMode::Independent);
         assert_eq!(w.stride_bytes(), 32);
