@@ -416,7 +416,7 @@ fn lint(rest: &[String]) -> Result<(), String> {
 fn sense(rest: &[String]) -> Result<(), String> {
     use metasim_audit::{render, AllowRule, AuditPolicy, Auditor};
     use metasim_core::lint::{AnyMutation, LintModel};
-    use metasim_core::sensitivity::{analyze_with_jobs, lint_report, SenseModel, SenseScope};
+    use metasim_core::sensitivity::{analyze, lint_report, SenseModel, SenseScope};
 
     let mut json = false;
     let mut deny_warnings = false;
@@ -508,7 +508,7 @@ fn sense(rest: &[String]) -> Result<(), String> {
         }
     }
 
-    let report = analyze_with_jobs(&model, jobs);
+    let report = analyze(&model, jobs);
     let mut a = Auditor::with_policy(AuditPolicy {
         allow,
         deny_warnings,
@@ -1008,7 +1008,7 @@ fn chaos_run(rest: &[String]) -> Result<(), String> {
             rec,
             ManifestMeta {
                 tool: format!("metasim {}", env!("CARGO_PKG_VERSION")),
-                config_digest: Study::store_key(&f).to_string(),
+                config_digest: Study::store_key_tiered(&f, Tier::Exact).to_string(),
                 loaded_from_cache: false,
                 cache: None,
             },

@@ -68,8 +68,10 @@ fn with_contexts<R>(
 /// The items are split into contiguous shards by [`shard_bounds`]; worker
 /// `k` processes shard `k` in order under a `shard:k` span parented at
 /// `parent`. With `jobs <= 1` (or a single item) everything runs inline on
-/// the calling thread with no threads spawned and no shard spans — the
-/// serial study path stays bit-for-bit what it was.
+/// the calling thread with no threads spawned and no shard spans, so spans
+/// opened by `f` nest under the caller's current span. This is the one
+/// execution path of every `--jobs` consumer: a serial run is the same code
+/// at `jobs = 1`.
 pub fn run_sharded<T, R, F>(parent: SpanCtx, jobs: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,

@@ -50,7 +50,6 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use metasim_apps::registry::{all_test_cases, TestCase};
@@ -65,6 +64,7 @@ use metasim_tracer::block::DependencyClass;
 use metasim_tracer::trace::ApplicationTrace;
 use metasim_units::Seconds;
 
+use crate::executor::run_sharded;
 use crate::formula::{
     calibrated, eval, prediction_expr, Band, CountSource, Ctx, Domain, Expr, ProbeQuantity,
     RateSource, TimeSource,
@@ -778,51 +778,38 @@ fn outside(observed: f64, lo: f64, hi: f64) -> bool {
     observed < lo - lo.abs() * CONTAINMENT_SLACK || observed > hi + hi.abs() * CONTAINMENT_SLACK
 }
 
-/// Run the full analysis sequentially.
-#[must_use]
-pub fn analyze(model: &SenseModel) -> SensitivityReport {
-    analyze_with_jobs(model, 1)
-}
-
-/// Run the analysis with per-cell parallelism. Cells are independent and
+/// Run the full analysis, sharding the memo warm-up and the cells across
+/// `jobs` worker threads ([`run_sharded`]; a single job runs inline). Cells
+/// are pure functions of their coordinates over pre-warmed memos and are
 /// aggregated in canonical grid order, so any `jobs` value produces a
 /// byte-identical report.
 #[must_use]
-pub fn analyze_with_jobs(model: &SenseModel, jobs: usize) -> SensitivityReport {
+pub fn analyze(model: &SenseModel, jobs: usize) -> SensitivityReport {
     let f = fleet();
     let cell_list = cells_for(model.scope);
 
-    // Warm the shared caches sequentially so parallel cells never race to
-    // measure the same machine twice.
+    // Warm the shared memos first — each machine's probes and each
+    // (case, cpus) trace exactly once, sharded like the cells — so parallel
+    // cells only ever read them and never race to measure a machine twice.
+    let ctx = metasim_obs::current_ctx();
     let mut machines: Vec<MachineId> = cell_list.iter().map(|&(_, _, m)| m).collect();
     machines.push(f.base().id);
+    machines.sort_unstable();
     machines.dedup();
-    for m in &machines {
-        let config = if *m == f.base().id {
-            f.base()
-        } else {
-            f.get(*m)
-        };
-        let _ = nominal_probes(config);
-        let _ = noisy_probes(config, model.seed, model.observed_epsilon);
-    }
+    run_sharded(ctx, jobs, machines, |m| {
+        let _ = nominal_probes(f.get(m));
+        let _ = noisy_probes(f.get(m), model.seed, model.observed_epsilon);
+    });
     let mut grid: Vec<(TestCase, u64)> = cell_list.iter().map(|&(c, p, _)| (c, p)).collect();
     grid.dedup();
-    for (case, cpus) in grid {
+    run_sharded(ctx, jobs, grid, |(case, cpus)| {
         let _ = trace_for(case, cpus);
-    }
+    });
 
-    let outs: Vec<Vec<CellOut>> = if jobs > 1 {
-        cell_list
-            .par_iter()
-            .map(|&(case, cpus, machine)| eval_cell(model, &f, case, cpus, machine))
-            .collect()
-    } else {
-        cell_list
-            .iter()
-            .map(|&(case, cpus, machine)| eval_cell(model, &f, case, cpus, machine))
-            .collect()
-    };
+    let outs: Vec<Vec<CellOut>> =
+        run_sharded(ctx, jobs, cell_list.clone(), |(case, cpus, machine)| {
+            eval_cell(model, &f, case, cpus, machine)
+        });
 
     let mut metrics = Vec::with_capacity(model.formulas.len());
     for (mi, (metric, expr)) in model.formulas.iter().enumerate() {
@@ -1030,7 +1017,7 @@ pub fn lint_report(model: &SenseModel, report: &SensitivityReport, a: &mut Audit
 /// Run the analysis and lint it in one step — what
 /// [`crate::lint::lint_full_with_policy`] calls for the MS9xx family.
 pub fn lint_sensitivity(model: &SenseModel, a: &mut Auditor) {
-    let report = analyze(model);
+    let report = analyze(model, 1);
     lint_report(model, &report, a);
 }
 
@@ -1134,7 +1121,7 @@ mod tests {
         // T′(#1) = (r_base / r_target) · T₀: elasticity −1 in the target
         // rate, +1 in the base rate, 0 coherently.
         let model = SenseModel::shipped(SenseScope::Reference);
-        let report = analyze(&model);
+        let report = analyze(&model, 1);
         let m1 = &report.metrics[0];
         assert_eq!(m1.ranked.len(), 1);
         assert_eq!(m1.ranked[0].quantity, "hpl-rmax");
@@ -1212,7 +1199,7 @@ mod tests {
             model.epsilon = NOISE_TOLERANCE;
             model.observed_epsilon = NOISE_TOLERANCE;
             model.seed = seed;
-            let report = analyze(&model);
+            let report = analyze(&model, 1);
             assert_eq!(
                 report.total_violations(),
                 0,
@@ -1250,7 +1237,7 @@ mod tests {
         model.epsilon = eps;
         model.observed_epsilon = sigma;
         model.seed = seed;
-        let report = analyze(&model);
+        let report = analyze(&model, 1);
         assert!(
             report.total_violations() > 0,
             "seed {seed}: just-over-band noise must escape some static interval"
@@ -1259,9 +1246,24 @@ mod tests {
 
     #[test]
     fn analysis_is_deterministic_and_jobs_invariant() {
-        let model = SenseModel::shipped(SenseScope::Reference);
-        let a = serde_json::to_string(&analyze_with_jobs(&model, 1)).unwrap();
-        let b = serde_json::to_string(&analyze_with_jobs(&model, 4)).unwrap();
+        // The full grid, so the parallel side has cells to shard. It runs
+        // first, under a recorder, to prove the warm-up and the cells were
+        // really sharded across workers, not iterated on one thread; the
+        // serial side then reads the memos it warmed.
+        let model = SenseModel::shipped(SenseScope::FullGrid);
+        let rec = Arc::new(metasim_obs::InMemoryRecorder::new());
+        let parallel = metasim_obs::with_recorder(rec.clone(), || analyze(&model, 4));
+        let first_shards = rec
+            .span_records()
+            .into_iter()
+            .filter(|s| s.name == "shard:0")
+            .count();
+        assert_eq!(
+            first_shards, 3,
+            "probe warm-up, traces and cells each sharded"
+        );
+        let a = serde_json::to_string(&analyze(&model, 1)).unwrap();
+        let b = serde_json::to_string(&parallel).unwrap();
         assert_eq!(a, b, "per-cell parallelism must not change the report");
     }
 }

@@ -5,7 +5,6 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use metasim_apps::groundtruth::GroundTruth;
@@ -143,8 +142,10 @@ pub struct StudyTimings {
 pub const STUDY_KIND: &str = "study";
 
 impl Study {
-    /// Run the full study on a fleet. Parallel over the 15 (case, CPU)
-    /// groups; probes and ground truth memoize behind their caches.
+    /// Run the full study on a fleet, serially and without a persistent
+    /// store: [`run_with_store_jobs`](Self::run_with_store_jobs) with no
+    /// store and one job. Probes and ground truth memoize behind their
+    /// caches.
     ///
     /// # Panics
     /// Refuses to run — panicking with the rendered report — when the
@@ -152,55 +153,26 @@ impl Study {
     /// in the fleet configuration or the measured probe curves.
     #[must_use]
     pub fn run(fleet: &Fleet, suite: &ProbeSuite, gt: &GroundTruth) -> Self {
-        Self::run_timed(fleet, suite, gt).0
+        Self::run_with_store_jobs(fleet, suite, gt, None, 1).0
     }
 
-    /// [`run`](Self::run), reporting per-phase wall time.
+    /// Compute the study under the caller's root span `ctx`, with an
+    /// explicit trace cache so a store-backed run can reuse persisted
+    /// application traces (`metasim_apps::tracing::TRACE_KIND` entries)
+    /// even when the whole-study entry itself missed.
     ///
     /// The phases are ordered so that no prediction cell ever blocks on
     /// another cell's cold measurement: preflight warms every machine's
     /// probes, a ground-truth phase warms every (case, cpus, machine) cell
     /// including the base system, and only then does the prediction pass
-    /// run against purely warm caches.
-    ///
-    /// # Panics
-    /// As [`run`](Self::run), on preflight errors.
-    #[must_use]
-    pub fn run_timed(fleet: &Fleet, suite: &ProbeSuite, gt: &GroundTruth) -> (Self, StudyTimings) {
-        Self::run_timed_jobs(fleet, suite, gt, 1)
-    }
-
-    /// [`run_timed`](Self::run_timed) sharded across `jobs` worker
-    /// threads along the dataflow graph's proven-independent cut (see
-    /// [`crate::dataflow`]). `jobs <= 1` takes the serial path unchanged;
-    /// any `jobs` produces the identical `Study` — results are merged in
-    /// canonical order and every per-cell computation is a pure, memoized
-    /// function of its coordinates (pinned by
-    /// `parallel_study_matches_serial_exactly`).
-    ///
-    /// # Panics
-    /// As [`run`](Self::run), on preflight errors.
-    #[must_use]
-    pub fn run_timed_jobs(
-        fleet: &Fleet,
-        suite: &ProbeSuite,
-        gt: &GroundTruth,
-        jobs: usize,
-    ) -> (Self, StudyTimings) {
-        let root = metasim_obs::span("study");
-        Self::run_timed_with_traces(root.ctx(), fleet, suite, gt, &TraceCache::new(), jobs)
-    }
-
-    /// [`run_timed`](Self::run_timed) with an explicit trace cache, so a
-    /// store-backed run can reuse persisted application traces
-    /// (`metasim_apps::tracing::TRACE_KIND` entries) even when the
-    /// whole-study entry itself missed. All spans nest under `ctx` (the
-    /// caller's root `study` span).
+    /// run against purely warm caches. Each phase is one [`run_sharded`]
+    /// pass over its canonical work list, so every `jobs` value does the
+    /// same work; a single job runs it inline on the calling thread.
     ///
     /// The obs spans are the *only* timing source: each `StudyTimings`
     /// field is the `finish()` value of the corresponding phase span, so
     /// the manifest's span tree and the reported timings cannot disagree.
-    fn run_timed_with_traces(
+    fn compute(
         ctx: SpanCtx,
         fleet: &Fleet,
         suite: &ProbeSuite,
@@ -209,20 +181,17 @@ impl Study {
         jobs: usize,
     ) -> (Self, StudyTimings) {
         let start = Instant::now();
-        // Preflight: statically verify every input artifact. This also
-        // warms every machine's probes (each sweep is internally parallel).
-        // The phase span closes *before* the error gate below so a failed
-        // preflight still shows up — with its wall time — in the recorder.
+        // Preflight: statically verify every input artifact. Every
+        // machine's probe sweep is warmed first so the audit below reads
+        // purely warm single-flight cells. A failing sweep is not an error
+        // here — the audit and the alive filter below decide what a failure
+        // means. The phase span closes *before* the error gate below so a
+        // failed preflight still shows up — with its wall time — in the
+        // recorder.
         let pre = ctx.span("phase:preflight");
-        if jobs > 1 {
-            // Warm every machine's probe sweep across the worker pool so
-            // the audit below reads purely warm single-flight cells. A
-            // failing sweep is not an error here — the audit and the alive
-            // filter below decide what a failure means.
-            run_sharded(pre.ctx(), jobs, MachineId::ALL.to_vec(), |machine| {
-                let _ = suite.try_measure(fleet.get(machine));
-            });
-        }
+        run_sharded(pre.ctx(), jobs, MachineId::ALL.to_vec(), |machine| {
+            let _ = suite.try_measure(fleet.get(machine));
+        });
         let report = crate::audit::preflight(fleet, suite);
         metasim_obs::counter_add("audit.findings", report.diagnostics.len() as u64);
         let base_cfg = fleet.base();
@@ -250,51 +219,37 @@ impl Study {
             "study preflight found error-severity diagnostics:\n{report}"
         );
 
-        // Warm every ground-truth cell — base system first (every cell
-        // scales from it), then the full target grid.
+        // Warm every ground-truth cell, flattened in canonical order — per
+        // (case, cpus), the base system first (every cell scales from it),
+        // then the alive targets. Every cell is an independent node of the
+        // dataflow graph, and the single-flight memo coalesces any shard
+        // racing another to the same base cell.
         let gt_span = ctx.span("phase:ground-truth");
-        let gt_ctx = gt_span.ctx();
-        if jobs > 1 {
-            // Flatten the 165-cell grid in canonical order and shard it:
-            // every cell is an independent node of the dataflow graph, and
-            // the single-flight memo coalesces any shard racing another to
-            // the same base cell.
-            let mut cells: Vec<(TestCase, u64, MachineId)> = Vec::new();
-            for (case, cpus) in all_test_cases() {
-                cells.push((case, cpus, MachineId::NavoP690Base));
-                for &machine in &alive {
-                    cells.push((case, cpus, machine));
-                }
+        let mut cells: Vec<(TestCase, u64, MachineId)> = Vec::new();
+        for (case, cpus) in all_test_cases() {
+            cells.push((case, cpus, MachineId::NavoP690Base));
+            for &machine in &alive {
+                cells.push((case, cpus, machine));
             }
-            run_sharded(gt_ctx, jobs, cells, |(case, cpus, machine)| {
-                let _m = metasim_obs::span(format!("cell:{case}/{cpus}/{machine}"));
-                let _ = gt.run(case, cpus, fleet.get(machine));
-            });
-        } else {
-            all_test_cases().into_par_iter().for_each(|(case, cpus)| {
-                let app = gt_ctx.span(format!("app:{case}"));
-                let cpu = app.ctx().span(format!("cpus:{cpus}"));
-                let _ = gt.run(case, cpus, base_cfg);
-                let cpu_ctx = cpu.ctx();
-                alive.clone().into_par_iter().for_each(|machine| {
-                    let _m = cpu_ctx.span(format!("machine:{machine}"));
-                    let _ = gt.run(case, cpus, fleet.get(machine));
-                });
-            });
         }
+        run_sharded(gt_span.ctx(), jobs, cells, |(case, cpus, machine)| {
+            let _m = metasim_obs::span(format!("cell:{case}/{cpus}/{machine}"));
+            let _ = gt.run(case, cpus, fleet.get(machine));
+        });
         let ground_truth_seconds = gt_span.finish();
 
+        // The prediction cut: groups are independent, traces are
+        // single-flight, every ground-truth read is warm, and the groups
+        // come back in canonical order.
         let pred_span = ctx.span("phase:predictions");
-        let pred_ctx = pred_span.ctx();
-        let observations: Vec<Observation> = if jobs > 1 {
-            // Shard the prediction cut: groups are independent, traces are
-            // single-flight, every ground-truth read is warm, and the
-            // groups come back in canonical order (then re-sorted below,
-            // exactly as in the serial path).
-            run_sharded(pred_ctx, jobs, all_test_cases(), |(case, cpus)| {
+        let observations: Vec<Observation> =
+            run_sharded(pred_span.ctx(), jobs, all_test_cases(), |(case, cpus)| {
                 let app = metasim_obs::span(format!("app:{case}"));
                 let cpu = app.ctx().span(format!("cpus:{cpus}"));
                 let workload = case.workload(cpus);
+                // A dropped trace loses this (case, cpus) row across every
+                // machine — traces are collected once on the base system —
+                // but not the rest of the grid.
                 let trace = match traces.try_trace(&workload) {
                     Ok(trace) => trace,
                     Err(_) => {
@@ -329,61 +284,11 @@ impl Study {
             })
             .into_iter()
             .flatten()
-            .collect()
-        } else {
-            all_test_cases()
-                .into_par_iter()
-                .flat_map(|(case, cpus)| {
-                    let app = pred_ctx.span(format!("app:{case}"));
-                    let cpu = app.ctx().span(format!("cpus:{cpus}"));
-                    let workload = case.workload(cpus);
-                    // A dropped trace loses this (case, cpus) row across every
-                    // machine — traces are collected once on the base system —
-                    // but not the rest of the grid.
-                    let trace = match traces.try_trace(&workload) {
-                        Ok(trace) => trace,
-                        Err(_) => {
-                            metasim_obs::counter_add("chaos.trace.skipped", 1);
-                            return Vec::new();
-                        }
-                    };
-                    let labels = analyze_dependencies(&trace.blocks);
-                    let base_actual = Seconds::new(gt.run(case, cpus, base_cfg).seconds);
-
-                    let cpu_ctx = cpu.ctx();
-                    alive
-                        .clone()
-                        .into_par_iter()
-                        .map(|machine| {
-                            let m_span = cpu_ctx.span(format!("machine:{machine}"));
-                            let target_cfg = fleet.get(machine);
-                            let actual = Seconds::new(gt.run(case, cpus, target_cfg).seconds);
-                            let target_probes = suite.measure(target_cfg);
-                            let predictions = predict_all(
-                                &trace,
-                                &labels,
-                                &target_probes,
-                                &base_probes,
-                                base_actual,
-                            );
-                            let obs = Observation {
-                                case,
-                                cpus,
-                                machine,
-                                actual,
-                                base_actual,
-                                predictions,
-                            };
-                            metasim_obs::observe_hdr(LAT_PREDICTION, m_span.finish());
-                            obs
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .collect()
-        };
+            .collect();
 
         let mut study = Self { observations };
-        // Deterministic order regardless of parallel scheduling.
+        // Canonical (case, cpus, machine) order, whatever order the
+        // registries list their cases and targets in.
         study
             .observations
             .sort_by_key(|o| (o.case, o.cpus, o.machine));
@@ -418,28 +323,21 @@ impl Study {
         metasim_obs::gauge_set("study.predictions", self.prediction_count() as f64);
     }
 
-    /// The content key a whole-study result is stored under: the full
-    /// serialized fleet, so editing any machine spec re-runs the study.
-    /// This is the exact-tier key; non-exact tiers persist under a
-    /// tier-tagged sibling ([`store_key_tiered`](Self::store_key_tiered)).
-    #[must_use]
-    pub fn store_key(fleet: &Fleet) -> ArtifactKey {
-        content_key(&[STUDY_KIND], fleet)
-    }
-
-    /// The content key for a study run under `tier`. Exact keeps the
-    /// original key (byte-identical to pre-tier studies); other tiers get
-    /// their own key space so switching tiers can never serve a
-    /// model-mismatched cached study.
+    /// The content key a whole-study result run under `tier` is stored
+    /// under: the full serialized fleet, so editing any machine spec
+    /// re-runs the study. Exact keeps the original key (byte-identical to
+    /// pre-tier studies); other tiers get their own key space so switching
+    /// tiers can never serve a model-mismatched cached study.
     #[must_use]
     pub fn store_key_tiered(fleet: &Fleet, tier: Tier) -> ArtifactKey {
         match tier {
-            Tier::Exact => Self::store_key(fleet),
+            Tier::Exact => content_key(&[STUDY_KIND], fleet),
             tier => content_key(&[STUDY_KIND, &tier.to_string()], fleet),
         }
     }
 
-    /// Run the study against an optional persistent store.
+    /// Run the study across `jobs` worker threads against an optional
+    /// persistent store, reporting per-phase wall time.
     ///
     /// On a warm store the whole result set loads in one read — validated
     /// on load by the value-level `MS3xx` audit rules plus a grid-shape
@@ -447,22 +345,13 @@ impl Study {
     /// recomputes (and rewrites it). Serde round-trips are bit-identical,
     /// so a loaded study compares equal to a freshly computed one.
     ///
-    /// # Panics
-    /// As [`run`](Self::run), on preflight errors (compute path only).
-    #[must_use]
-    pub fn run_with_store(
-        fleet: &Fleet,
-        suite: &ProbeSuite,
-        gt: &GroundTruth,
-        store: Option<&ArtifactStore>,
-    ) -> (Self, StudyTimings) {
-        Self::run_with_store_jobs(fleet, suite, gt, store, 1)
-    }
-
-    /// [`run_with_store`](Self::run_with_store) sharded across `jobs`
-    /// worker threads (see [`run_timed_jobs`](Self::run_timed_jobs)). The
-    /// store path is unaffected: a warm hit loads the identical artifact
-    /// at any job count, and a cold run stores the identical bytes.
+    /// The compute path shards each phase along the dataflow graph's
+    /// proven-independent cut (see [`crate::dataflow`]). Any `jobs` produces
+    /// the identical `Study` — results are merged in canonical order and
+    /// every per-cell computation is a pure, memoized function of its
+    /// coordinates (pinned by `parallel_study_matches_serial_exactly`) — so
+    /// a warm hit loads the identical artifact at any job count, and a cold
+    /// run stores the identical bytes.
     ///
     /// # Panics
     /// As [`run`](Self::run), on preflight errors (compute path only).
@@ -514,7 +403,7 @@ impl Study {
             Some(store) => TraceCache::with_store(Arc::new(store.clone())),
             None => TraceCache::new(),
         };
-        let (study, timings) = Self::run_timed_with_traces(ctx, fleet, suite, gt, &traces, jobs);
+        let (study, timings) = Self::compute(ctx, fleet, suite, gt, &traces, jobs);
         if let Some(store) = store {
             let _write = ctx.span("store-write");
             let _ = store.store(
@@ -681,8 +570,9 @@ mod tests {
         let suite = ProbeSuite::new();
         let gt = GroundTruth::new();
         let rec = Arc::new(metasim_obs::InMemoryRecorder::new());
-        let (parallel, timings) =
-            metasim_obs::with_recorder(rec.clone(), || Study::run_timed_jobs(&f, &suite, &gt, 4));
+        let (parallel, timings) = metasim_obs::with_recorder(rec.clone(), || {
+            Study::run_with_store_jobs(&f, &suite, &gt, None, 4)
+        });
         assert_eq!(parallel.observations, serial.observations);
         // Bit-for-bit: the serialized artifact (what the store and the
         // CSV exports are derived from) is identical too.
@@ -889,6 +779,39 @@ mod tests {
         for phase in ["phase:preflight", "phase:ground-truth", "phase:predictions"] {
             assert!(names.iter().any(|n| n == phase), "missing {phase}");
         }
+
+        // The serial run goes through the same executor as `--jobs N` but
+        // inline: no shard spans, and every per-cell span still hangs off
+        // its phase through the thread's current span.
+        let spans = rec.span_records();
+        assert!(
+            spans.iter().all(|s| !s.name.starts_with("shard:")),
+            "a jobs = 1 run must not shard"
+        );
+        let under = |span: &metasim_obs::SpanRecord, phase: &str| {
+            let mut parent = span.parent;
+            while parent != 0 {
+                let p = spans.iter().find(|s| s.id == parent).expect("parent span");
+                if p.name == phase {
+                    return true;
+                }
+                parent = p.parent;
+            }
+            false
+        };
+        for (prefix, phase, count) in [
+            ("cell:", "phase:ground-truth", 165),
+            ("app:", "phase:predictions", 15),
+        ] {
+            let cells: Vec<_> = spans
+                .iter()
+                .filter(|s| s.name.starts_with(prefix))
+                .collect();
+            assert_eq!(cells.len(), count, "{prefix} spans");
+            for cell in cells {
+                assert!(under(cell, phase), "{} must nest under {phase}", cell.name);
+            }
+        }
         for metric in MetricId::ALL {
             let label = format!("metric:{}", metric.short_label());
             assert!(names.contains(&label), "missing {label}");
@@ -974,7 +897,7 @@ mod tests {
         let result =
             metasim_obs::with_recorder(Arc::clone(&rec) as Arc<dyn metasim_obs::Recorder>, || {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    Study::run_timed(&bad, &ProbeSuite::new(), &GroundTruth::new())
+                    Study::run(&bad, &ProbeSuite::new(), &GroundTruth::new())
                 }))
             });
         assert!(result.is_err(), "doctored fleet must fail preflight");
@@ -1012,11 +935,16 @@ mod tests {
         let f = fleet();
         let fresh = study();
         store
-            .store(STUDY_KIND, Study::store_key(&f), fresh)
+            .store(STUDY_KIND, Study::store_key_tiered(&f, Tier::Exact), fresh)
             .unwrap();
 
-        let (loaded, timings) =
-            Study::run_with_store(&f, &ProbeSuite::new(), &GroundTruth::new(), Some(&store));
+        let (loaded, timings) = Study::run_with_store_jobs(
+            &f,
+            &ProbeSuite::new(),
+            &GroundTruth::new(),
+            Some(&store),
+            1,
+        );
         assert!(timings.loaded_from_cache, "warm store must serve the load");
         assert_eq!(fresh, &loaded, "cached study must equal the fresh study");
         // Bit-for-bit, not merely PartialEq: identical serialized text.
@@ -1040,11 +968,20 @@ mod tests {
         // negative runtime instead, which the MS304 audit-on-load catches.
         doctored.observations[0].actual = Seconds::new(-5.0);
         store
-            .store(STUDY_KIND, Study::store_key(&f), &doctored)
+            .store(
+                STUDY_KIND,
+                Study::store_key_tiered(&f, Tier::Exact),
+                &doctored,
+            )
             .unwrap();
 
-        let (recomputed, timings) =
-            Study::run_with_store(&f, &ProbeSuite::new(), &GroundTruth::new(), Some(&store));
+        let (recomputed, timings) = Study::run_with_store_jobs(
+            &f,
+            &ProbeSuite::new(),
+            &GroundTruth::new(),
+            Some(&store),
+            1,
+        );
         assert!(
             !timings.loaded_from_cache,
             "audit-on-load must reject the doctored entry"
@@ -1060,8 +997,13 @@ mod tests {
             timings.total_seconds
         );
         // The recompute rewrote a good entry over the doctored one.
-        let (reloaded, reload_timings) =
-            Study::run_with_store(&f, &ProbeSuite::new(), &GroundTruth::new(), Some(&store));
+        let (reloaded, reload_timings) = Study::run_with_store_jobs(
+            &f,
+            &ProbeSuite::new(),
+            &GroundTruth::new(),
+            Some(&store),
+            1,
+        );
         assert!(reload_timings.loaded_from_cache);
         assert_eq!(reloaded, recomputed);
         store.clear().unwrap();

@@ -22,10 +22,11 @@
 //!
 //! [`suite::ProbeSuite`] measures and memoizes the full set per machine with
 //! single-flight semantics — concurrent cold callers coalesce onto one
-//! measurement per machine (see [`suite`]). Within one measurement, each
-//! MAPS curve's *working-set sweep* is a Rayon `par_iter` over the sweep
-//! sizes ([`maps::sweep_sizes`]); the five curves themselves are measured
-//! sequentially, as are the other probes. Under an installed
+//! measurement per machine (see [`suite`]). One measurement is
+//! sequential: each MAPS curve's *working-set sweep* walks the sweep sizes
+//! ([`maps::sweep_sizes`]) in order, and the five curves and the other
+//! probes follow one another; callers parallelize across machines instead.
+//! Under an installed
 //! `metasim-chaos` fault plan, acquisition can fail — see
 //! [`suite::ProbeSuite::try_measure`] and [`suite::ProbeFailure`].
 //!
