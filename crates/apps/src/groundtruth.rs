@@ -29,8 +29,9 @@ use serde::{Deserialize, Serialize};
 
 use metasim_cache::{content_key, ArtifactKey, ArtifactStore};
 use metasim_machines::{MachineConfig, MachineId};
-use metasim_memsim::bandwidth::{measure_bandwidth, Workload as MemWorkload};
+use metasim_memsim::bandwidth::Workload as MemWorkload;
 use metasim_memsim::timing::{AccessKind, DependencyMode};
+use metasim_memsim::ProfileMemo;
 use metasim_netsim::replay::replay;
 use metasim_stats::rng::SeededRng;
 use metasim_tracer::block::DependencyClass;
@@ -72,7 +73,7 @@ fn dependency_mode(class: DependencyClass) -> DependencyMode {
 
 /// Memory time for one block across all invocations: each stride class runs
 /// through the cache simulator at the block's working set.
-fn block_memory_seconds(machine: &MachineConfig, block: &WorkBlock) -> f64 {
+fn block_memory_seconds(machine: &MachineConfig, block: &WorkBlock, memo: &ProfileMemo) -> f64 {
     let (s1, short, random) = block.class_refs();
     let deps = dependency_mode(block.dependency);
     let classes = [
@@ -85,7 +86,7 @@ fn block_memory_seconds(machine: &MachineConfig, block: &WorkBlock) -> f64 {
         if refs == 0 {
             continue;
         }
-        let sample = measure_bandwidth(
+        let sample = memo.measure(
             &machine.memory,
             &MemWorkload::new(block.working_set, kind, deps),
         );
@@ -136,9 +137,14 @@ pub fn idiosyncrasy_factor(app: &str, case: &str, machine: &MachineConfig, p: u6
 /// Execute a workload on a machine at full detail.
 #[must_use]
 pub fn execute(machine: &MachineConfig, workload: &AppWorkload) -> RunResult {
+    execute_in(machine, workload, &ProfileMemo::new())
+}
+
+/// [`execute`] with the blocks' cache simulations shared through `memo`.
+fn execute_in(machine: &MachineConfig, workload: &AppWorkload, memo: &ProfileMemo) -> RunResult {
     let mut compute = 0.0;
     for block in &workload.blocks {
-        let mem = block_memory_seconds(machine, block);
+        let mem = block_memory_seconds(machine, block, memo);
         let flop = block_flop_seconds(machine, block);
         let overlapped = mem.max(flop) + OVERLAP_RECOVERY * mem.min(flop);
         compute += overlapped;
@@ -167,11 +173,17 @@ type GroundTruthCells = HashMap<(TestCase, u64, MachineId), Arc<OnceLock<RunResu
 /// Memoizing ground-truth runner for the study grid, with single-flight
 /// semantics (concurrent cold callers on the same cell coalesce onto one
 /// full-detail execution) and an optional persistent backing store.
+///
+/// Its executions share one [`ProfileMemo`]: a block simulated for one
+/// (case, cpus) cell or one machine serves every cell and every machine of
+/// the same cache/TLB geometry that asks for it again, timed under the
+/// asking machine's own spec and the block's own dependency mode.
 #[derive(Debug, Default)]
 pub struct GroundTruth {
     cells: RwLock<GroundTruthCells>,
     store: Option<Arc<ArtifactStore>>,
     executions: AtomicUsize,
+    profiles: ProfileMemo,
 }
 
 impl GroundTruth {
@@ -223,7 +235,7 @@ impl GroundTruth {
             let _span = metasim_obs::recording()
                 .then(|| metasim_obs::span(format!("execute:{case}@{p}:{}", machine.id)));
             let workload = case.workload(p);
-            let result = execute(machine, &workload);
+            let result = execute_in(machine, &workload, &self.profiles);
             self.executions.fetch_add(1, Ordering::Relaxed);
             metasim_obs::counter_add("groundtruth.executions", 1);
             if let Some(store) = &self.store {

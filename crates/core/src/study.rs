@@ -554,6 +554,27 @@ mod tests {
         Study::run_default()
     }
 
+    /// Exact measurements a cold paper study serves from a memoized
+    /// simulation, and the distinct simulations it runs, with one
+    /// `ProfileMemo` in the probe suite and one in the ground-truth runner.
+    /// Together they are every exact measurement the study makes: 1,727
+    /// probe points (435 simulations), 2,475 ground-truth stride classes
+    /// (1,204) and the preflight audit's 22 MS204 samples, each through a
+    /// fresh memo. A memo that
+    /// stops sharing raises the misses; a key that loses a field telling
+    /// two of the study's streams apart lowers them. (The shipped machines
+    /// that differ in TLB reach also differ in cache geometry, so a key
+    /// without TLB entries keeps these counts; memsim's own tests catch
+    /// it.) The CI `study cache` job gates on the same two numbers.
+    const COLD_PROFILE_HITS: u64 = 2_563;
+    const COLD_PROFILE_MISSES: u64 = 1_661;
+
+    fn assert_cold_profile_work(snap: &metasim_obs::MetricsSnapshot) {
+        assert_eq!(snap.counter("memsim.profile.hit"), COLD_PROFILE_HITS);
+        assert_eq!(snap.counter("memsim.profile.miss"), COLD_PROFILE_MISSES);
+        assert_eq!(snap.counter("memsim.tier.exact"), 1_727, "probe points");
+    }
+
     #[test]
     fn grid_dimensions_match_the_paper() {
         let s = study();
@@ -581,6 +602,8 @@ mod tests {
             serde_json::to_string(serial).unwrap()
         );
         assert!(!timings.loaded_from_cache);
+        // Single-flight memos: four workers do exactly the serial work.
+        assert_cold_profile_work(&rec.metrics_snapshot());
         // The manifest shows the shard layout: every phase ran sharded.
         let spans = rec.span_records();
         let shard_count = spans.iter().filter(|s| s.name == "shard:0").count();
@@ -831,6 +854,7 @@ mod tests {
         assert!(snap.counter("traces.performed") >= 15, "15 (case, cpus)");
         assert!(snap.counter("convolver.terms") > 0);
         assert!(snap.counter("memsim.addresses") > 0);
+        assert_cold_profile_work(&snap);
 
         // The latency histograms cover the per-prediction and per-probe
         // span durations with usable quantiles.

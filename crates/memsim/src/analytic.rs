@@ -52,6 +52,7 @@ use crate::bandwidth::{
     MIN_MEASURED_ACCESSES,
 };
 use crate::hierarchy::AccessProfile;
+use crate::memo::ProfileMemo;
 use crate::spec::MemorySpec;
 use crate::timing::{AccessKind, TimingModel};
 
@@ -193,11 +194,23 @@ pub fn measure_bandwidth_tiered(
     workload: &Workload,
     tier: Tier,
 ) -> (BandwidthSample, ResolvedTier) {
+    measure_bandwidth_tiered_in(&ProfileMemo::new(), spec, workload, tier)
+}
+
+/// [`measure_bandwidth_tiered`] with the exact tier's simulations shared
+/// through `memo`.
+#[must_use]
+pub fn measure_bandwidth_tiered_in(
+    memo: &ProfileMemo,
+    spec: &MemorySpec,
+    workload: &Workload,
+    tier: Tier,
+) -> (BandwidthSample, ResolvedTier) {
     let resolved = resolve_tier(spec, tier);
     match resolved {
         ResolvedTier::Exact => {
             metasim_obs::counter_add("memsim.tier.exact", 1);
-            (measure_bandwidth(spec, workload), resolved)
+            (memo.measure(spec, workload), resolved)
         }
         ResolvedTier::Analytic => {
             metasim_obs::counter_add("memsim.tier.analytic", 1);

@@ -9,6 +9,14 @@
 //! Measurements follow benchmarking discipline: a warm-up pass populates the
 //! caches and TLB, the profile is cleared, and only then is the measured
 //! pass accumulated.
+//!
+//! A measurement is two steps. `simulate` drives the address stream and
+//! returns the [`AccessProfile`]; its only input is a `SimKey` (the spec's
+//! cache/TLB geometry, working set, access kind and seed). The
+//! [`TimingModel`](crate::timing::TimingModel) then prices that profile
+//! under the full spec and the workload's dependency mode. Because the
+//! dependency mode and every timing parameter stay out of the key, one
+//! simulation serves all of them: [`ProfileMemo`] shares it.
 
 use serde::{Deserialize, Serialize};
 
@@ -16,9 +24,10 @@ use metasim_stats::rng::SeededRng;
 use metasim_units::{Bytes, BytesPerSec, Seconds};
 
 use crate::hierarchy::{AccessProfile, HierarchySim};
-use crate::spec::MemorySpec;
+use crate::memo::ProfileMemo;
+use crate::spec::{MemorySpec, SimGeometry};
 use crate::streams::{AddressStream, RandomStream, StridedStream};
-use crate::timing::{AccessKind, DependencyMode, TimingModel};
+use crate::timing::{AccessKind, DependencyMode};
 
 /// Bytes requested per access throughout the study (double precision).
 pub const ELEMENT_BYTES: u64 = 8;
@@ -60,18 +69,26 @@ impl Workload {
     /// Stride in bytes implied by the access kind.
     #[must_use]
     pub fn stride_bytes(&self) -> u64 {
-        match self.kind {
-            AccessKind::Sequential => ELEMENT_BYTES,
-            AccessKind::Strided(s) => u64::from(s) * ELEMENT_BYTES,
-            AccessKind::Random => ELEMENT_BYTES,
-        }
+        stride_bytes(self.kind)
     }
 
     /// Number of accesses needed to cover the working set once.
     #[must_use]
     pub fn accesses_per_pass(&self) -> u64 {
-        (self.working_set / self.stride_bytes()).max(1)
+        accesses_per_pass(self.working_set, self.kind)
     }
+}
+
+fn stride_bytes(kind: AccessKind) -> u64 {
+    match kind {
+        AccessKind::Sequential => ELEMENT_BYTES,
+        AccessKind::Strided(s) => u64::from(s) * ELEMENT_BYTES,
+        AccessKind::Random => ELEMENT_BYTES,
+    }
+}
+
+fn accesses_per_pass(working_set: u64, kind: AccessKind) -> u64 {
+    (working_set / stride_bytes(kind)).max(1)
 }
 
 /// Result of one bandwidth measurement.
@@ -129,54 +146,72 @@ pub fn drive<S: AddressStream>(sim: &mut HierarchySim, stream: &mut S, n: u64) {
     }
 }
 
-/// Measure delivered bandwidth for `workload` on the memory system described
-/// by `spec`. Deterministic: equal inputs yield identical samples.
-#[must_use]
-pub fn measure_bandwidth(spec: &MemorySpec, workload: &Workload) -> BandwidthSample {
-    let mut sim = HierarchySim::new(spec);
-    let model = TimingModel::new(spec.clone(), ELEMENT_BYTES);
+/// Everything one address-level simulation depends on: the simulator's
+/// view of the spec plus the working set, spatial pattern and seed of the
+/// stream. The dependency mode and every timing parameter are absent; they
+/// only price the resulting profile.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct SimKey {
+    geometry: SimGeometry,
+    working_set: u64,
+    kind: AccessKind,
+    seed: u64,
+}
 
-    let per_pass = workload.accesses_per_pass();
+impl SimKey {
+    /// The key of measuring `workload` on `spec`.
+    pub(crate) fn new(spec: &MemorySpec, workload: &Workload) -> Self {
+        Self {
+            geometry: spec.geometry(),
+            working_set: workload.working_set,
+            kind: workload.kind,
+            seed: workload.seed,
+        }
+    }
+}
+
+/// Run the warm-up and measured passes a key describes through a fresh
+/// hierarchy and return the measured pass's profile. Deterministic: equal
+/// keys yield identical profiles. Keys come from validated specs.
+pub(crate) fn simulate(key: &SimKey) -> AccessProfile {
+    let mut sim = HierarchySim::from_geometry(&key.geometry);
+    let per_pass = accesses_per_pass(key.working_set, key.kind);
     let measured = per_pass.clamp(MIN_MEASURED_ACCESSES, MAX_MEASURED_ACCESSES);
     // Warm-up must visit the whole working set at least once (capped so huge
     // sweeps stay cheap: beyond the cap the caches are in steady-state
     // thrash anyway).
     let warmup = per_pass.min(MAX_MEASURED_ACCESSES);
+    let working_set = key.working_set.max(ELEMENT_BYTES);
 
-    match workload.kind {
+    match key.kind {
         AccessKind::Sequential | AccessKind::Strided(_) => {
-            let mut stream = StridedStream::new(
-                0,
-                workload.working_set.max(ELEMENT_BYTES),
-                workload.stride_bytes(),
-                ELEMENT_BYTES,
-            );
+            let mut stream =
+                StridedStream::new(0, working_set, stride_bytes(key.kind), ELEMENT_BYTES);
             drive(&mut sim, &mut stream, warmup);
             sim.clear_profile();
             drive(&mut sim, &mut stream, measured);
         }
         AccessKind::Random => {
-            let rng = SeededRng::new(workload.seed ^ workload.working_set);
-            let mut stream = RandomStream::new(
-                0,
-                workload.working_set.max(ELEMENT_BYTES),
-                ELEMENT_BYTES,
-                rng,
-            );
+            let rng = SeededRng::new(key.seed ^ key.working_set);
+            let mut stream = RandomStream::new(0, working_set, ELEMENT_BYTES, rng);
             drive(&mut sim, &mut stream, warmup);
             sim.clear_profile();
             drive(&mut sim, &mut stream, measured);
         }
     }
+    sim.profile().clone()
+}
 
-    let profile = sim.profile().clone();
-    let seconds = model.time(&profile, workload.kind, workload.deps);
-    BandwidthSample {
-        workload: *workload,
-        seconds,
-        bytes: profile.requested_bytes,
-        profile,
-    }
+/// Measure delivered bandwidth for `workload` on the memory system described
+/// by `spec`. Deterministic: equal inputs yield identical samples. Callers
+/// that measure many workloads share simulations through one
+/// [`ProfileMemo`]; this runs through a fresh one.
+///
+/// # Panics
+/// Panics if the spec fails validation.
+#[must_use]
+pub fn measure_bandwidth(spec: &MemorySpec, workload: &Workload) -> BandwidthSample {
+    ProfileMemo::new().measure(spec, workload)
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! scan reads only the tag array and the victim scan only the stamp array,
 //! each a branchless sweep the compiler can unroll and `cmov`/vectorize.
 
-use crate::spec::LevelSpec;
+use crate::spec::{LevelGeometry, LevelSpec};
 
 const EMPTY: u64 = u64::MAX;
 
@@ -41,15 +41,20 @@ impl Cache {
     #[must_use]
     pub fn new(spec: &LevelSpec) -> Self {
         spec.validate().expect("invalid cache spec");
-        let sets = spec.sets();
-        let assoc = spec.associativity as usize;
+        Self::from_geometry(&spec.geometry())
+    }
+
+    /// Build a cache from the geometry of a validated level.
+    pub(crate) fn from_geometry(geometry: &LevelGeometry) -> Self {
+        let sets = geometry.sets();
+        let assoc = geometry.associativity as usize;
         let ways = (sets as usize) * assoc;
         Self {
             tags: vec![EMPTY; ways],
             stamps: vec![0; ways],
             assoc,
             set_mask: sets - 1,
-            line_shift: spec.line_bytes.trailing_zeros(),
+            line_shift: geometry.line_bytes.trailing_zeros(),
             clock: 0,
             hits: 0,
             misses: 0,

@@ -4,7 +4,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::cache::Cache;
-use crate::spec::MemorySpec;
+use crate::spec::{MemorySpec, SimGeometry};
 use crate::tlb::Tlb;
 
 /// Which level served an access.
@@ -106,7 +106,16 @@ impl HierarchySim {
     #[must_use]
     pub fn new(spec: &MemorySpec) -> Self {
         spec.validate().expect("invalid memory spec");
-        let caches = spec.levels.iter().map(Cache::new).collect::<Vec<_>>();
+        Self::from_geometry(&spec.geometry())
+    }
+
+    /// Build a simulator for the geometry of a validated spec.
+    pub(crate) fn from_geometry(geometry: &SimGeometry) -> Self {
+        let caches = geometry
+            .levels
+            .iter()
+            .map(Cache::from_geometry)
+            .collect::<Vec<_>>();
         let profile = AccessProfile {
             level_hits: vec![0; caches.len()],
             ..AccessProfile::default()
@@ -117,7 +126,7 @@ impl HierarchySim {
         };
         Self {
             caches,
-            tlb: Tlb::new(&spec.tlb),
+            tlb: Tlb::with_reach(geometry.tlb_entries, geometry.page_bytes),
             profile,
             scratch,
         }

@@ -27,6 +27,11 @@
 //! the coarse metrics genuinely fail to capture behaviour the simulator
 //! genuinely has.
 //!
+//! Simulation and timing are separate steps (an address-level simulation,
+//! then [`TimingModel::time`]), so measurements that share a cache/TLB
+//! geometry and an address stream share one simulation through a
+//! [`ProfileMemo`], each still timed under its own spec.
+//!
 //! ```
 //! use metasim_memsim::spec::MemorySpec;
 //! use metasim_memsim::bandwidth::{measure_bandwidth, Workload};
@@ -50,16 +55,18 @@ pub mod analytic;
 pub mod bandwidth;
 pub mod cache;
 pub mod hierarchy;
+pub mod memo;
 pub mod spec;
 pub mod streams;
 pub mod timing;
 pub mod tlb;
 
 pub use analytic::{
-    analytic_bandwidth, audit_tier_budget, measure_bandwidth_tiered, AnalyticModel, CacheModel,
-    ExactModel, ResolvedTier, Tier, TIER_ERROR_BUDGET,
+    analytic_bandwidth, audit_tier_budget, measure_bandwidth_tiered, measure_bandwidth_tiered_in,
+    AnalyticModel, CacheModel, ExactModel, ResolvedTier, Tier, TIER_ERROR_BUDGET,
 };
 pub use bandwidth::{measure_bandwidth, BandwidthSample, Workload};
 pub use hierarchy::{HierarchySim, LevelHit};
+pub use memo::ProfileMemo;
 pub use spec::{LevelSpec, MainMemorySpec, MemorySpec};
 pub use timing::{AccessKind, DependencyMode, TimingModel};

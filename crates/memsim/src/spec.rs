@@ -94,8 +94,47 @@ impl LevelSpec {
     /// Number of sets implied by capacity/line/associativity.
     #[must_use]
     pub fn sets(&self) -> u64 {
+        self.geometry().sets()
+    }
+
+    /// The part of this level the cache simulator reads.
+    pub(crate) fn geometry(&self) -> LevelGeometry {
+        LevelGeometry {
+            capacity_bytes: self.capacity_bytes,
+            line_bytes: self.line_bytes,
+            associativity: self.associativity,
+        }
+    }
+}
+
+/// The geometry of one cache level: what [`crate::cache::Cache`] simulates,
+/// without the bandwidth and latency the timing model adds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct LevelGeometry {
+    pub(crate) capacity_bytes: u64,
+    pub(crate) line_bytes: u64,
+    pub(crate) associativity: u32,
+}
+
+impl LevelGeometry {
+    /// Number of sets implied by capacity/line/associativity.
+    pub(crate) fn sets(&self) -> u64 {
         self.capacity_bytes / (self.line_bytes * u64::from(self.associativity))
     }
+}
+
+/// Everything the address-level simulation reads from a [`MemorySpec`]:
+/// the cache geometries and the TLB's reach. Two specs with equal
+/// geometries produce identical access profiles for every address stream;
+/// they differ only in how [`crate::timing::TimingModel`] prices them.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct SimGeometry {
+    /// Cache levels ordered L1 first.
+    pub(crate) levels: Vec<LevelGeometry>,
+    /// TLB entries (fully associative).
+    pub(crate) tlb_entries: usize,
+    /// Page size in bytes.
+    pub(crate) page_bytes: u64,
 }
 
 /// Main-memory parameters.
@@ -291,6 +330,17 @@ impl MemorySpec {
     /// The audit report, when any error-severity finding fires.
     pub fn validate(&self) -> Result<(), AuditReport> {
         audit_value(|a| self.audit(a)).into_result().map(|_| ())
+    }
+
+    /// The simulator's view of this spec. This is the only projection the
+    /// hierarchy simulator is built from, so it names every simulator
+    /// input.
+    pub(crate) fn geometry(&self) -> SimGeometry {
+        SimGeometry {
+            levels: self.levels.iter().map(LevelSpec::geometry).collect(),
+            tlb_entries: self.tlb.entries,
+            page_bytes: self.tlb.page_bytes,
+        }
     }
 
     /// Innermost cache line size in bytes.

@@ -24,7 +24,7 @@ use crate::hierarchy::AccessProfile;
 use crate::spec::MemorySpec;
 
 /// Spatial pattern of an access stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AccessKind {
     /// Unit stride (consecutive elements).
     Sequential,

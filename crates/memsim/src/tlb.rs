@@ -54,27 +54,30 @@ impl Tlb {
     /// `page_bytes` is not a power of two.
     #[must_use]
     pub fn new(spec: &TlbSpec) -> Self {
-        assert!(spec.entries > 0, "TLB needs at least one entry");
+        Self::with_reach(spec.entries, spec.page_bytes)
+    }
+
+    /// Build from the two fields of a [`TlbSpec`] the simulation reads
+    /// (the miss penalty is the timing model's).
+    ///
+    /// # Panics
+    /// As [`new`](Self::new).
+    pub(crate) fn with_reach(entries: usize, page_bytes: u64) -> Self {
+        assert!(entries > 0, "TLB needs at least one entry");
+        assert!(entries < NIL as usize, "TLB entry count exceeds u32 slots");
         assert!(
-            spec.entries < NIL as usize,
-            "TLB entry count exceeds u32 slots"
-        );
-        assert!(
-            spec.page_bytes.is_power_of_two(),
+            page_bytes.is_power_of_two(),
             "page size must be a power of two"
         );
         Self {
-            slot_of: HashMap::with_capacity_and_hasher(
-                spec.entries + 1,
-                BuildHasherDefault::default(),
-            ),
-            pages: Vec::with_capacity(spec.entries),
-            prev: Vec::with_capacity(spec.entries),
-            next: Vec::with_capacity(spec.entries),
+            slot_of: HashMap::with_capacity_and_hasher(entries + 1, BuildHasherDefault::default()),
+            pages: Vec::with_capacity(entries),
+            prev: Vec::with_capacity(entries),
+            next: Vec::with_capacity(entries),
             head: NIL,
             tail: NIL,
-            capacity: spec.entries,
-            page_shift: spec.page_bytes.trailing_zeros(),
+            capacity: entries,
+            page_shift: page_bytes.trailing_zeros(),
             hits: 0,
             misses: 0,
         }

@@ -1,12 +1,19 @@
 //! Property-based tests for the memory-hierarchy simulator.
 
-use metasim_memsim::bandwidth::{measure_bandwidth, Workload, DRIVE_BATCH};
+use metasim_memsim::bandwidth::{
+    drive, measure_bandwidth, BandwidthSample, Workload, DRIVE_BATCH, ELEMENT_BYTES,
+    MAX_MEASURED_ACCESSES, MIN_MEASURED_ACCESSES,
+};
 use metasim_memsim::cache::Cache;
 use metasim_memsim::hierarchy::HierarchySim;
 use metasim_memsim::spec::{LevelSpec, MemorySpec, TlbSpec};
+use metasim_memsim::streams::{RandomStream, StridedStream};
 use metasim_memsim::timing::{AccessKind, DependencyMode, TimingModel};
+use metasim_memsim::ProfileMemo;
+use metasim_obs::{with_recorder, InMemoryRecorder};
 use metasim_stats::rng::SeededRng;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn small_level(cap_kib: u64, assoc: u32) -> LevelSpec {
     LevelSpec {
@@ -270,5 +277,98 @@ proptest! {
             small.bytes_per_second(),
             big.bytes_per_second()
         );
+    }
+}
+
+/// A measurement made the way it was before simulations were memoized:
+/// one fresh hierarchy per call, warmed, cleared, measured and timed.
+fn unshared_measurement(spec: &MemorySpec, w: &Workload) -> BandwidthSample {
+    let mut sim = HierarchySim::new(spec);
+    let per_pass = w.accesses_per_pass();
+    let measured = per_pass.clamp(MIN_MEASURED_ACCESSES, MAX_MEASURED_ACCESSES);
+    let warmup = per_pass.min(MAX_MEASURED_ACCESSES);
+    let ws = w.working_set.max(ELEMENT_BYTES);
+    if w.kind == AccessKind::Random {
+        let rng = SeededRng::new(w.seed ^ w.working_set);
+        let mut stream = RandomStream::new(0, ws, ELEMENT_BYTES, rng);
+        drive(&mut sim, &mut stream, warmup);
+        sim.clear_profile();
+        drive(&mut sim, &mut stream, measured);
+    } else {
+        let mut stream = StridedStream::new(0, ws, w.stride_bytes(), ELEMENT_BYTES);
+        drive(&mut sim, &mut stream, warmup);
+        sim.clear_profile();
+        drive(&mut sim, &mut stream, measured);
+    }
+    let profile = sim.profile().clone();
+    let model = TimingModel::new(spec.clone(), ELEMENT_BYTES);
+    BandwidthSample {
+        workload: *w,
+        seconds: model.time(&profile, w.kind, w.deps),
+        bytes: profile.requested_bytes,
+        profile,
+    }
+}
+
+/// A workload over a working set of 512 B .. 1 MiB, any kind, mode and a
+/// small seed range (so repeats of one key are common).
+fn arb_workload() -> impl Strategy<Value = Workload> {
+    (9u32..=20, 0u8..4, 2u32..=8, 0u8..3, 0u64..3).prop_map(|(ws_log, kind, stride, deps, seed)| {
+        let kind = match kind {
+            0 => AccessKind::Sequential,
+            1 => AccessKind::Strided(stride),
+            _ => AccessKind::Random,
+        };
+        let deps = match deps {
+            0 => DependencyMode::Independent,
+            1 => DependencyMode::Chained,
+            _ => DependencyMode::Branchy,
+        };
+        Workload {
+            seed,
+            ..Workload::new(1 << ws_log, kind, deps)
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    // A memo shared across specs and workloads serves every request
+    // exactly as an unshared measurement and `measure_bandwidth` would:
+    // same profile, same seconds, bit for bit. The second spec has the
+    // first one's geometry with other timing, so its requests hit entries
+    // the first spec's requests simulated; the third has one more TLB
+    // entry, so its requests must not.
+    #[test]
+    fn shared_memo_equals_unshared_measurement(
+        spec in arb_spec(),
+        workloads in proptest::collection::vec(arb_workload(), 1..6),
+        mlp in 1.0f64..8.0,
+        chain in 0.0f64..10e-9,
+    ) {
+        let mut retimed = spec.clone();
+        retimed.mlp = mlp;
+        retimed.dependency_chain_latency = chain;
+        retimed.tlb.miss_penalty *= 2.0;
+        let mut bigger_tlb = spec.clone();
+        bigger_tlb.tlb.entries += 1;
+        let memo = ProfileMemo::new();
+        let rec = Arc::new(InMemoryRecorder::new());
+        for s in [&spec, &retimed, &bigger_tlb] {
+            for w in &workloads {
+                let shared = with_recorder(rec.clone(), || memo.measure(s, w));
+                prop_assert_eq!(&shared, &unshared_measurement(s, w));
+                prop_assert_eq!(&shared, &measure_bandwidth(s, w));
+            }
+        }
+        let distinct: std::collections::HashSet<_> = workloads
+            .iter()
+            .map(|w| (w.working_set, w.kind, w.seed))
+            .collect();
+        let snap = rec.metrics_snapshot();
+        let misses = snap.counter("memsim.profile.miss");
+        prop_assert_eq!(misses, 2 * distinct.len() as u64);
+        prop_assert_eq!(snap.counter("memsim.profile.hit") + misses, 3 * workloads.len() as u64);
     }
 }

@@ -7,9 +7,10 @@
 use serde::{Deserialize, Serialize};
 
 use metasim_machines::MachineConfig;
-use metasim_memsim::analytic::{measure_bandwidth_tiered, ResolvedTier};
+use metasim_memsim::analytic::{measure_bandwidth_tiered_in, ResolvedTier};
 use metasim_memsim::bandwidth::{Workload, ELEMENT_BYTES};
 use metasim_memsim::timing::{AccessKind, DependencyMode};
+use metasim_memsim::ProfileMemo;
 use metasim_units::{BytesPerSec, UpdatesPerSec};
 
 /// Result of the GUPS probe.
@@ -56,8 +57,18 @@ pub fn measure_gups(machine: &MachineConfig) -> GupsResult {
 /// is byte-identical to [`measure_gups`]).
 #[must_use]
 pub fn measure_gups_tiered(machine: &MachineConfig, tier: ResolvedTier) -> GupsResult {
+    measure_gups_in(machine, tier, &ProfileMemo::new())
+}
+
+/// [`measure_gups_tiered`] with simulations shared through `memo`.
+pub(crate) fn measure_gups_in(
+    machine: &MachineConfig,
+    tier: ResolvedTier,
+    memo: &ProfileMemo,
+) -> GupsResult {
     let table_bytes = gups_table_bytes(machine);
-    let (sample, _) = measure_bandwidth_tiered(
+    let (sample, _) = measure_bandwidth_tiered_in(
+        memo,
         &machine.memory,
         &Workload::new(table_bytes, AccessKind::Random, DependencyMode::Independent),
         tier.as_tier(),

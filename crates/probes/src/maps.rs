@@ -17,9 +17,10 @@ use std::sync::OnceLock;
 use serde::{DeError, Deserialize, Serialize, Value};
 
 use metasim_machines::MachineConfig;
-use metasim_memsim::analytic::{measure_bandwidth_tiered, ResolvedTier};
+use metasim_memsim::analytic::{measure_bandwidth_tiered_in, ResolvedTier};
 use metasim_memsim::bandwidth::Workload;
 use metasim_memsim::timing::{AccessKind, DependencyMode};
+use metasim_memsim::ProfileMemo;
 use metasim_units::BytesPerSec;
 
 /// Which inner-loop flavour a curve was measured with.
@@ -206,11 +207,13 @@ fn measure_curve(
     kind: AccessKind,
     flavor: DependencyFlavor,
     tier: ResolvedTier,
+    memo: &ProfileMemo,
 ) -> MapsCurve {
     let points: Vec<(u64, f64)> = sweep_sizes()
         .iter()
         .map(|&ws| {
-            let (sample, _) = measure_bandwidth_tiered(
+            let (sample, _) = measure_bandwidth_tiered_in(
+                memo,
                 &machine.memory,
                 &Workload::new(ws, kind, flavor.mode()),
                 tier.as_tier(),
@@ -253,32 +256,23 @@ pub fn measure_maps(machine: &MachineConfig) -> MapsSet {
 /// from the closed-form model.
 #[must_use]
 pub fn measure_maps_tiered(machine: &MachineConfig, tier: ResolvedTier) -> MapsSet {
-    let unit = measure_curve(
-        machine,
-        AccessKind::Sequential,
-        DependencyFlavor::Independent,
-        tier,
-    );
-    let mut random = measure_curve(
-        machine,
-        AccessKind::Random,
-        DependencyFlavor::Independent,
-        tier,
-    );
-    let unit_chained = measure_curve(
-        machine,
-        AccessKind::Sequential,
-        DependencyFlavor::Chained,
-        tier,
-    );
-    let unit_branchy = measure_curve(
-        machine,
-        AccessKind::Sequential,
-        DependencyFlavor::Branchy,
-        tier,
-    );
-    let mut random_chained =
-        measure_curve(machine, AccessKind::Random, DependencyFlavor::Chained, tier);
+    measure_maps_in(machine, tier, &ProfileMemo::new())
+}
+
+/// [`measure_maps_tiered`] with simulations shared through `memo`: the
+/// ENHANCED flavours of a sweep reuse the plain sweep's simulations, since
+/// the dependency mode only enters the timing.
+pub(crate) fn measure_maps_in(
+    machine: &MachineConfig,
+    tier: ResolvedTier,
+    memo: &ProfileMemo,
+) -> MapsSet {
+    let curve = |kind, flavor| measure_curve(machine, kind, flavor, tier, memo);
+    let unit = curve(AccessKind::Sequential, DependencyFlavor::Independent);
+    let mut random = curve(AccessKind::Random, DependencyFlavor::Independent);
+    let unit_chained = curve(AccessKind::Sequential, DependencyFlavor::Chained);
+    let unit_branchy = curve(AccessKind::Sequential, DependencyFlavor::Branchy);
+    let mut random_chained = curve(AccessKind::Random, DependencyFlavor::Chained);
     cap_curve(&mut random, &unit);
     cap_curve(&mut random_chained, &unit_chained);
     cap_curve(&mut random_chained, &random);

@@ -7,9 +7,10 @@
 use serde::{Deserialize, Serialize};
 
 use metasim_machines::MachineConfig;
-use metasim_memsim::analytic::{measure_bandwidth_tiered, ResolvedTier};
+use metasim_memsim::analytic::{measure_bandwidth_tiered_in, ResolvedTier};
 use metasim_memsim::bandwidth::Workload;
 use metasim_memsim::timing::{AccessKind, DependencyMode};
+use metasim_memsim::ProfileMemo;
 use metasim_units::BytesPerSec;
 
 /// Result of the STREAM probe.
@@ -51,8 +52,18 @@ pub fn measure_stream(machine: &MachineConfig) -> StreamResult {
 /// is byte-identical to [`measure_stream`]).
 #[must_use]
 pub fn measure_stream_tiered(machine: &MachineConfig, tier: ResolvedTier) -> StreamResult {
+    measure_stream_in(machine, tier, &ProfileMemo::new())
+}
+
+/// [`measure_stream_tiered`] with simulations shared through `memo`.
+pub(crate) fn measure_stream_in(
+    machine: &MachineConfig,
+    tier: ResolvedTier,
+    memo: &ProfileMemo,
+) -> StreamResult {
     let working_set = stream_working_set(machine);
-    let (sample, _) = measure_bandwidth_tiered(
+    let (sample, _) = measure_bandwidth_tiered_in(
+        memo,
         &machine.memory,
         &Workload::new(
             working_set,

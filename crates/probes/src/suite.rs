@@ -36,12 +36,13 @@ use metasim_machines::{MachineConfig, MachineId};
 use crate::audit::audit_probes;
 
 use metasim_memsim::analytic::{resolve_tier, ResolvedTier, Tier};
+use metasim_memsim::ProfileMemo;
 
-use crate::gups::{measure_gups_tiered, GupsResult};
+use crate::gups::{measure_gups_in, GupsResult};
 use crate::hpl::{measure_hpl, HplResult};
-use crate::maps::{measure_maps_tiered, MapsSet};
+use crate::maps::{measure_maps_in, MapsSet};
 use crate::netbench::{measure_netbench, NetbenchResult};
-use crate::stream::{measure_stream_tiered, StreamResult};
+use crate::stream::{measure_stream_in, StreamResult};
 
 /// Number of processes the fleet-comparable HPL submission uses.
 pub const HPL_PROCESSES: u64 = 64;
@@ -76,12 +77,22 @@ impl MachineProbes {
     /// The exact tier is byte-identical to [`measure`](Self::measure).
     #[must_use]
     pub fn measure_tiered(machine: &MachineConfig, tier: ResolvedTier) -> Self {
+        Self::measure_in(machine, tier, &ProfileMemo::new())
+    }
+
+    /// [`measure_tiered`](Self::measure_tiered) with the memory probes'
+    /// simulations shared through `memo`.
+    pub(crate) fn measure_in(
+        machine: &MachineConfig,
+        tier: ResolvedTier,
+        memo: &ProfileMemo,
+    ) -> Self {
         Self {
             id: machine.id,
             hpl: measure_hpl(machine, HPL_PROCESSES),
-            stream: measure_stream_tiered(machine, tier),
-            gups: measure_gups_tiered(machine, tier),
-            maps: measure_maps_tiered(machine, tier),
+            stream: measure_stream_in(machine, tier, memo),
+            gups: measure_gups_in(machine, tier, memo),
+            maps: measure_maps_in(machine, tier, memo),
             netbench: measure_netbench(machine),
         }
     }
@@ -116,6 +127,10 @@ impl std::error::Error for ProbeFailure {}
 
 /// Memoizing probe runner with single-flight semantics and an optional
 /// persistent backing store.
+///
+/// Its sweeps share one [`ProfileMemo`]: a MAPS point simulated for one
+/// flavour or one machine serves every other flavour, and every machine of
+/// the same cache/TLB geometry, timed under each machine's own spec.
 #[derive(Debug)]
 pub struct ProbeSuite {
     #[allow(clippy::type_complexity)]
@@ -123,6 +138,7 @@ pub struct ProbeSuite {
     store: Option<Arc<ArtifactStore>>,
     measurements: AtomicUsize,
     tier: Tier,
+    profiles: ProfileMemo,
 }
 
 impl Default for ProbeSuite {
@@ -135,6 +151,7 @@ impl Default for ProbeSuite {
             store: None,
             measurements: AtomicUsize::new(0),
             tier: Tier::Exact,
+            profiles: ProfileMemo::new(),
         }
     }
 }
@@ -258,7 +275,7 @@ impl ProbeSuite {
         } else {
             let span = metasim_obs::recording()
                 .then(|| metasim_obs::span(format!("probe-sweep:{}", machine.id)));
-            let probes = MachineProbes::measure_tiered(machine, tier);
+            let probes = MachineProbes::measure_in(machine, tier, &self.profiles);
             self.measurements.fetch_add(1, Ordering::Relaxed);
             metasim_obs::counter_add("probes.sweeps", 1);
             if let Some(span) = span {
